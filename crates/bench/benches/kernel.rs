@@ -1,11 +1,9 @@
 //! Search-kernel microbenchmarks: child-expansion throughput
-//! (place/undo cycles per second, delta-undo vs the clone-based
-//! reference) and candidate-scoring latency, on a flat and a 3-level
-//! data center of 1,024 hosts each.
+//! (delta-undo place/undo cycles per second) and candidate-scoring
+//! latency, on a flat and a 3-level data center of 1,024 hosts each.
 //!
 //! Besides the usual stdout report, writes `BENCH_kernel.json` at the
-//! repository root with the derived per-cycle times and the
-//! delta-vs-clone speedup.
+//! repository root with the derived per-cycle times.
 //!
 //! `--smoke` runs a fast 64-host variant (used by `scripts/verify.sh`)
 //! and writes `target/BENCH_kernel_smoke.json` instead, leaving the
@@ -26,8 +24,8 @@ use rand::{Rng, SeedableRng};
 
 /// Expansions per timed call; large enough to amortize harness setup.
 const CYCLES: u64 = 2_048;
-/// Nodes pre-placed before the measured expansions, so each clone in
-/// the baseline copies a realistically loaded search state.
+/// Nodes pre-placed before the measured expansions, so each cycle
+/// runs against a realistically loaded search state.
 const PREFIX: usize = 96;
 /// Application size: a 128-VM chain with cross links.
 const VMS: usize = 128;
@@ -142,11 +140,6 @@ fn bench_kernel(c: &mut Criterion, scale: &Scale) {
         group.bench_function("delta_undo", |b| {
             b.iter(|| {
                 kernel::expansion_cycles_delta(&topo, &infra, &base, scale.prefix, scale.cycles)
-            });
-        });
-        group.bench_function("clone_based", |b| {
-            b.iter(|| {
-                kernel::expansion_cycles_clone(&topo, &infra, &base, scale.prefix, scale.cycles)
             });
         });
         group.finish();
@@ -271,8 +264,6 @@ fn write_artifact(c: &Criterion, smoke: bool, digest: u64) {
     let mut sections = Vec::new();
     for label in ["flat", "three_level"] {
         let delta_ns = per_cycle_ns(c, label, "delta_undo", cycles);
-        let clone_ns = per_cycle_ns(c, label, "clone_based", cycles);
-        let speedup = clone_ns / delta_ns;
         let scoring_serial = median_of(c, &format!("candidate_scoring/{label}/serial"));
         let scoring_parallel = median_of(c, &format!("candidate_scoring/{label}/parallel"));
         let scoring_uncached =
@@ -282,10 +273,7 @@ fn write_artifact(c: &Criterion, smoke: bool, digest: u64) {
             concat!(
                 "    \"{}\": {{\n",
                 "      \"delta_undo_ns_per_cycle\": {:.1},\n",
-                "      \"clone_based_ns_per_cycle\": {:.1},\n",
                 "      \"delta_undo_cycles_per_sec\": {:.0},\n",
-                "      \"clone_based_cycles_per_sec\": {:.0},\n",
-                "      \"speedup\": {:.2},\n",
                 "      \"scoring_serial_us\": {:.1},\n",
                 "      \"scoring_parallel_us\": {:.1},\n",
                 "      \"scoring_parallel_uncached_us\": {:.1},\n",
@@ -294,19 +282,13 @@ fn write_artifact(c: &Criterion, smoke: bool, digest: u64) {
             ),
             label,
             delta_ns,
-            clone_ns,
             1e9 / delta_ns,
-            1e9 / clone_ns,
-            speedup,
             scoring_serial.as_secs_f64() * 1e6,
             scoring_parallel.as_secs_f64() * 1e6,
             scoring_uncached.as_secs_f64() * 1e6,
             scoring_speedup,
         ));
-        println!(
-            "{label}: delta {delta_ns:.0} ns/cycle, clone {clone_ns:.0} ns/cycle, \
-             speedup {speedup:.2}x"
-        );
+        println!("{label}: delta {delta_ns:.0} ns/cycle");
     }
     let scale = if smoke { &SMOKE } else { &FULL };
     let json = format!(

@@ -81,32 +81,6 @@ pub fn expansion_cycles_delta(
     admitted
 }
 
-/// The same workload as [`expansion_cycles_delta`] driven through the
-/// clone-per-child reference path: each expansion materializes (and
-/// drops) a full copy of the search state.
-#[cfg(feature = "clone-baseline")]
-#[must_use]
-pub fn expansion_cycles_clone(
-    topo: &ApplicationTopology,
-    infra: &Infrastructure,
-    base: &CapacityState,
-    prefix: usize,
-    cycles: u64,
-) -> u64 {
-    let (ctx, path) = harness(topo, infra, base, false, false, 1, prefix);
-    let node = path.next_node(&ctx).expect("at least one unplaced node");
-    let hosts: Vec<HostId> = infra.hosts().iter().map(|h| h.id()).collect();
-    let mut admitted = 0;
-    for i in 0..cycles {
-        let host = hosts[i as usize % hosts.len()];
-        if let Some(child) = path.place_via_clone(&ctx, node, host) {
-            admitted += 1;
-            drop(child);
-        }
-    }
-    admitted
-}
-
 /// Scores every feasible candidate host for the next unplaced node
 /// once — the inner loop of EG and of BA*'s upper-bound refreshes.
 /// Returns the candidate count so the work cannot be optimized away.

@@ -76,8 +76,7 @@ pub(crate) fn feasible_hosts(ctx: &Ctx<'_>, path: &Path<'_>, node: NodeId) -> Ve
 /// without path-local NIC state, and the few hosts with such state
 /// (promised-bandwidth entries, placed neighbors' hosts) are re-screened
 /// through the exact [`admits`] — so the result is bit-identical to the
-/// all-scalar path. In session mode the old summary prescreen is
-/// subsumed: the table's base columns mirror the summaries exactly.
+/// all-scalar path.
 pub(crate) fn feasible_hosts_into(
     ctx: &Ctx<'_>,
     path: &Path<'_>,
@@ -618,11 +617,13 @@ fn resolve_bounds_session(
         .map(|&h| {
             // A candidate already hosting part of this placement is
             // identified by its slot position (its availability is in
-            // the prefix); an untouched candidate purely by value, so
-            // every host of an availability group shares one entry.
+            // the prefix); an untouched candidate purely by value — the
+            // shared table is base-only, so its signature column is the
+            // availability-group signature — and every host of a group
+            // shares one entry.
             let cand = match slots.iter().position(|&s| s == h) {
                 Some(slot) => mix64(SLOT_SALT ^ (slot as u64 + 1)),
-                None => shared.summaries[h.index()].avail_sig,
+                None => shared.table.group_sig(h),
             };
             (node_idx, mix64(prefix ^ cand))
         })

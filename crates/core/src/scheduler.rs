@@ -92,11 +92,9 @@ impl<'a> Scheduler<'a> {
     /// # Errors
     ///
     /// As [`place`](Self::place); additionally infeasible when a pinned
-    /// host cannot accommodate its node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pinned.len() != topology.node_count()`.
+    /// host cannot accommodate its node, and
+    /// [`PlacementError::PriorLengthMismatch`] when `pinned` does not
+    /// hold one slot per node.
     pub fn place_pinned(
         &self,
         topology: &ApplicationTopology,
@@ -109,9 +107,9 @@ impl<'a> Scheduler<'a> {
 
     /// [`place_pinned`](Self::place_pinned) with optional session
     /// state attached: the search then resolves heuristic bounds
-    /// through the session's cross-request cache and screens
-    /// candidates against its host summaries. `state` must be the
-    /// session's own state — the summaries describe it.
+    /// through the session's cross-request cache and sweeps
+    /// candidates over a clone of its capacity table. `state` must be
+    /// the session's own state — the table mirrors it.
     pub(crate) fn place_pinned_with(
         &self,
         topology: &ApplicationTopology,
@@ -120,7 +118,12 @@ impl<'a> Scheduler<'a> {
         pinned: &[Option<HostId>],
         session: Option<&crate::session::SessionShared>,
     ) -> Result<PlacementOutcome, PlacementError> {
-        assert_eq!(pinned.len(), topology.node_count(), "one pin slot per node");
+        if pinned.len() != topology.node_count() {
+            return Err(PlacementError::PriorLengthMismatch {
+                expected: topology.node_count(),
+                actual: pinned.len(),
+            });
+        }
         let started = Instant::now();
         if request.shard {
             return crate::shard::place_sharded(

@@ -540,10 +540,9 @@ impl<'a> Path<'a> {
     }
 
     /// The original clone-per-child expansion, kept as the reference
-    /// implementation: tests assert it agrees with
-    /// [`place_mut`](Self::place_mut), and the kernel benchmark
-    /// measures the speedup against it.
-    #[cfg(any(test, feature = "clone-baseline"))]
+    /// implementation the delta-undo equivalence tests compare
+    /// [`place_mut`](Self::place_mut) against.
+    #[cfg(test)]
     pub(crate) fn place_via_clone(
         &self,
         ctx: &Ctx<'a>,

@@ -8,53 +8,55 @@
 //! [`PlacementService`] splits each request into two phases:
 //!
 //! 1. **Snapshot-plan** — the planner grabs the current
-//!    [`PlanSnapshot`] (an epoch-stamped, immutable copy of the
-//!    committed books plus the session's summaries and capacity-table
-//!    columns; the value-keyed bound cache is *shared*, not copied)
-//!    and solves against it with no lock held. Any number of planners
-//!    plan concurrently against the same snapshot.
-//! 2. **Validate-commit** — under the single commit lock, the planned
-//!    hosts' per-host epochs are compared with the snapshot's. If no
-//!    planned host changed since the snapshot, the decision commits:
-//!    the session applies it (journaling dirty hosts and appending to
-//!    the WAL, which makes the commit *order* durable), the touched
-//!    hosts' epochs advance to the new commit sequence number, and a
-//!    fresh snapshot is published. The lock is held only for the cheap
-//!    apply — never for planning.
+//!    [`PlanSnapshot`] (an immutable copy of the committed books plus
+//!    the session's mirror of them — capacity-table columns, pod
+//!    digests, per-host refresh epochs; the value-keyed bound cache and
+//!    the fleet layout are *shared*, not copied) and solves against it
+//!    with no lock held. Any number of planners plan concurrently
+//!    against the same snapshot.
+//! 2. **Validate-commit** — under the single commit lock the session
+//!    applies the decision to the *live* books with its all-or-nothing
+//!    commit (journaling dirty hosts and appending to the WAL, which
+//!    makes the commit *order* durable), the commit sequence number
+//!    advances, and a fresh snapshot is published. The lock is held
+//!    only for the cheap apply — never for planning.
 //!
-//! Validation is two-level. Epoch cleanliness is the fast path: a
-//! clean decision's books are exactly what it planned against, so its
-//! commit is guaranteed to apply and its objective is exact. An
-//! epoch-**stale** decision is not rejected outright — under a packing
-//! objective every concurrent planner wants the same attractive hosts,
-//! so strict staleness-equals-conflict degenerates the pipeline to
-//! serial. Instead (with [`ServiceConfig::admit_stale`], the default)
-//! the session's all-or-nothing commit re-validates the decision
-//! against the *live* books: if capacity and every link still admit
-//! it, it commits — its objective drifts by at most what raced in
-//! ahead of it. Only a decision the live books no longer admit is a
-//! **conflict**: the loser re-plans against a fresh snapshot, up to
+//! There is one validation rule: **apply against the live books**. If
+//! capacity and every link still admit the decision it commits; if the
+//! apply fails *and* the sequence number moved since the plan's
+//! snapshot, something raced in ahead of it — a **conflict**: the loser
+//! re-plans against a fresh snapshot, up to
 //! [`ServiceConfig::max_retries`] times, then plans *serialized* under
-//! the commit lock, where it cannot lose again. Host epochs alone are
-//! never sufficient — a concurrent commit elsewhere in a rack can
-//! saturate a shared uplink a "clean" plan relied on — so the session
-//! commit remains the authoritative check in every path, and a commit
-//! failure against a moved sequence number is a conflict too.
+//! the commit lock, where it cannot lose again. An apply that fails
+//! against unmoved books is a genuine error. The session commit is the
+//! authoritative check in every path — per-host bookkeeping alone could
+//! never be, since a concurrent commit elsewhere in a rack can saturate
+//! a shared uplink the plan relied on.
 //!
-//! One caveat of stale admission: the commit re-validates *capacity*,
-//! not candidacy policy. The service exposes no quarantine entry
-//! point, so this cannot currently admit a decision onto a host some
-//! concurrent operation disqualified; if the service ever grows such
-//! an entry point, quarantine must join the epoch check.
+//! Staleness is still *observed*, because it says how far a committed
+//! objective may have drifted from what its planner saw: a planned
+//! host is stale when the session reports it changed since the
+//! snapshot (`SchedulerSession::changed_since`) —
+//! still in the dirty journal (touched earlier under this very lock
+//! acquisition) or re-resolved since the snapshot was cut. A commit
+//! with a stale host counts in [`ServiceStats::stale_admissions`]; its
+//! objective is off by at most what raced in ahead of it. The session's
+//! refresh epochs are the only per-host epochs in the system.
+//!
+//! One caveat: the commit re-validates *capacity*, not candidacy
+//! policy. The service exposes no quarantine entry point, so this
+//! cannot currently admit a decision onto a host some concurrent
+//! operation disqualified; if the service ever grows such an entry
+//! point, quarantine must join the check.
 //!
 //! **Admission batching**: [`PlacementService::serve`] runs a planner
 //! pool behind a FIFO queue. Each planner pops up to
-//! [`ServiceConfig::batch`] jobs, plans them all against *one*
-//! snapshot, detects host-set overlap between batch members up front
-//! (a later member overlapping an earlier one's hosts would lose
-//! validation anyway, so it goes straight to the retry path without
-//! entering the lock), then takes the commit lock **once** for the
-//! whole batch and publishes **one** snapshot. With
+//! [`ServiceConfig::batch`] jobs and plans them in order against one
+//! snapshot — multi-member batches against a speculative copy of its
+//! books on which each member's decision is applied virtually before
+//! the next member plans, so members plan around each other instead of
+//! colliding — then takes the commit lock **once** for the whole batch
+//! and publishes **one** snapshot. With
 //! [`ServiceConfig::durable_acks`] the batch also fsyncs the WAL once
 //! before any of its responses are delivered — group commit: a
 //! delivered `Placed` is durable.
@@ -94,7 +96,7 @@ use crate::placement::{Placement, PlacementOutcome};
 use crate::pool::lock_unpoisoned;
 use crate::request::PlacementRequest;
 use crate::scheduler::Scheduler;
-use crate::session::{avail_signature, HostSummary, SchedulerSession, SessionShared};
+use crate::session::{SchedulerSession, SessionShared};
 use crate::wal::WalMark;
 
 /// Tuning for a [`PlacementService`].
@@ -108,12 +110,6 @@ pub struct ServiceConfig {
     /// Optimistic re-plans a losing request is granted before it falls
     /// back to planning serialized under the commit lock.
     pub max_retries: u32,
-    /// Admit epoch-stale decisions whose commit still succeeds against
-    /// the live books (see the module docs). `false` demands strict
-    /// epoch cleanliness — every stale decision re-plans, which keeps
-    /// objectives snapshot-exact but collapses throughput under
-    /// packing objectives where every planner wants the same hosts.
-    pub admit_stale: bool,
     /// When a WAL is attached: fsync once per commit-lock acquisition,
     /// *before* responses are delivered, so an acknowledged commit is
     /// durable (group commit). Without a WAL this is a no-op.
@@ -169,7 +165,6 @@ impl Default for ServiceConfig {
             planners: 1,
             batch: 8,
             max_retries: 3,
-            admit_stale: true,
             durable_acks: true,
             queue_depth: 0,
             deadline_ms: 0,
@@ -240,20 +235,18 @@ pub enum DurabilityPolicy {
     Reject,
 }
 
-/// An epoch-stamped, immutable view of the committed books that any
-/// number of planners can solve against concurrently.
+/// An immutable view of the committed books that any number of
+/// planners can solve against concurrently.
 #[derive(Debug)]
 pub struct PlanSnapshot {
     /// Commit sequence number at capture: how many mutations (commits
     /// and releases) the service had applied.
     seq: u64,
-    /// Per-host commit epochs at capture — `host_epochs[h]` is the
-    /// sequence number of the last mutation that touched host `h`.
-    host_epochs: Vec<u64>,
     /// The committed books at capture.
     state: CapacityState,
-    /// The session's summaries and capacity-table columns describing
-    /// `state`, plus the *shared* value-keyed bound cache.
+    /// The session's mirror of `state` (table columns, pod digests,
+    /// per-host refresh epochs at capture), plus the *shared*
+    /// value-keyed bound cache.
     shared: SessionShared,
 }
 
@@ -269,12 +262,6 @@ impl PlanSnapshot {
     pub fn state(&self) -> &CapacityState {
         &self.state
     }
-
-    /// The commit epoch of `host` at capture.
-    #[must_use]
-    pub fn host_epoch(&self, host: HostId) -> u64 {
-        self.host_epochs[host.index()]
-    }
 }
 
 /// Phase-1 output: a decision planned against a snapshot, not yet
@@ -284,7 +271,7 @@ pub struct PlannedPlacement {
     outcome: PlacementOutcome,
     snapshot: Arc<PlanSnapshot>,
     /// Distinct hosts the decision touches, ascending by index — the
-    /// set validate-commit checks epochs for.
+    /// set validate-commit checks for staleness.
     hosts: Vec<HostId>,
 }
 
@@ -317,11 +304,12 @@ pub enum CommitAttempt {
     /// Validation passed; the decision is in the books (and, with a
     /// WAL attached, in the journal).
     Committed(ServiceOutcome),
-    /// A planned host changed since the snapshot (or a shared link the
-    /// plan relied on saturated). Re-plan against a fresh snapshot.
+    /// The live books no longer admit the decision: a planned host (or
+    /// a shared link the plan relied on) was consumed since the
+    /// snapshot. Re-plan against a fresh snapshot.
     Conflict {
-        /// The first planned host whose epoch moved (or, for a link
-        /// conflict, the plan's first host).
+        /// The first planned host that changed since the snapshot (or,
+        /// for a link conflict, the plan's first host).
         host: HostId,
     },
 }
@@ -352,19 +340,14 @@ pub struct ServiceStats {
     /// Requests rejected (planning failed against current books).
     pub rejected: u64,
     /// Optimistic commits that failed validation (the live books no
-    /// longer admitted the decision, or — in strict mode — a planned
-    /// host's epoch moved).
+    /// longer admitted the decision).
     pub commit_conflicts: u64,
-    /// Epoch-stale decisions the live books still admitted (committed
-    /// without re-planning; their objectives are snapshot-relative).
+    /// Decisions committed with at least one planned host changed since
+    /// their snapshot (committed without re-planning; their objectives
+    /// are snapshot-relative).
     pub stale_admissions: u64,
     /// Re-plans against a fresh snapshot after a lost commit race.
     pub replans: u64,
-    /// Within-batch host-set overlaps detected by the up-front screen.
-    /// In strict mode these members go straight to the retry path; with
-    /// stale admission they proceed to live-book re-validation (and
-    /// usually land in [`stale_admissions`](Self::stale_admissions)).
-    pub overlap_conflicts: u64,
     /// Requests that exhausted their retry budget and planned
     /// serialized under the commit lock.
     pub serialized_fallbacks: u64,
@@ -438,30 +421,19 @@ pub struct ServiceStats {
 }
 
 /// The serialized half: the session (whose all-or-nothing commit is
-/// the authoritative feasibility check), the commit sequence number,
-/// and the per-host commit epochs validation compares against.
+/// the authoritative feasibility check, and whose refresh epochs say
+/// which hosts moved) and the commit sequence number.
 #[derive(Debug)]
 struct Authority<'a> {
     session: SchedulerSession<'a>,
     seq: u64,
-    host_epochs: Vec<u64>,
 }
 
 impl Authority<'_> {
-    /// The first planned host whose epoch moved since the snapshot.
+    /// The first planned host that changed since the plan's snapshot.
     fn stale_host(&self, planned: &PlannedPlacement) -> Option<HostId> {
-        planned
-            .hosts
-            .iter()
-            .copied()
-            .find(|h| self.host_epochs[h.index()] != planned.snapshot.host_epochs[h.index()])
-    }
-
-    fn bump_epochs(&mut self, placement: &Placement) {
-        let seq = self.seq;
-        for &host in placement.assignments() {
-            self.host_epochs[host.index()] = seq;
-        }
+        let seen = &planned.snapshot.shared.epochs;
+        planned.hosts.iter().copied().find(|&h| self.session.changed_since(h, seen[h.index()]))
     }
 
     fn apply_commit(
@@ -471,7 +443,6 @@ impl Authority<'_> {
     ) -> Result<u64, PlacementError> {
         self.session.commit(topology, placement)?;
         self.seq += 1;
-        self.bump_epochs(placement);
         Ok(self.seq)
     }
 
@@ -482,7 +453,6 @@ impl Authority<'_> {
     ) -> Result<u64, PlacementError> {
         self.session.release(topology, placement)?;
         self.seq += 1;
-        self.bump_epochs(placement);
         Ok(self.seq)
     }
 }
@@ -490,13 +460,10 @@ impl Authority<'_> {
 /// Outcome of one validate-commit under the lock, before stats and
 /// snapshot publication are folded in.
 enum Validated {
-    /// Epoch-clean: committed with a snapshot-exact objective.
     Committed {
         seq: u64,
-    },
-    /// Epoch-stale but the live books still admitted it.
-    CommittedStale {
-        seq: u64,
+        /// A planned host had changed since the plan's snapshot.
+        stale: bool,
     },
     Conflict {
         host: HostId,
@@ -504,36 +471,49 @@ enum Validated {
 }
 
 /// A batch's speculative books: one clone of the snapshot's state and
-/// shared tables, with earlier batch members' decisions applied
-/// virtually so later members plan around them instead of colliding.
-/// Batch members plan sequentially on one planner thread, so the
-/// overlay needs no synchronization; cross-planner races are still
-/// caught by epoch validation at commit time.
+/// mirror, with earlier batch members' decisions applied virtually so
+/// later members plan around them instead of colliding. Batch members
+/// plan sequentially on one planner thread, so the view needs no
+/// synchronization; races against other planners are still caught by
+/// the live-books commit.
 struct BatchView {
     state: CapacityState,
     shared: SessionShared,
 }
 
 impl BatchView {
-    /// Re-resolves `hosts` from the overlaid state — the same per-host
-    /// resync the session's dirty-host journal performs after a real
-    /// commit, so summaries, capacity-table columns, and the epoch
-    /// component of cache keys stay value-correct.
-    fn refresh_hosts(&mut self, hosts: impl IntoIterator<Item = HostId>) {
-        for host in hosts {
-            let free = self.state.available(host);
-            let fresh = HostSummary {
-                free,
-                nic_mbps: self.state.nic_available(host).as_mbps(),
-                avail_sig: avail_signature(free),
-            };
-            let old = self.shared.summaries[host.index()];
-            self.shared.pods.update(host.index(), &old, &fresh);
-            self.shared.summaries[host.index()] = fresh;
-            self.shared.table.refresh_base_host(&self.state, host);
-            self.shared.epochs[host.index()] += 1;
+    fn of(snapshot: &PlanSnapshot) -> Self {
+        BatchView { state: snapshot.state.clone(), shared: snapshot.shared.clone_for_snapshot() }
+    }
+
+    /// Applies a member's decision to the speculative books and
+    /// re-resolves its hosts — the same per-host resync the session's
+    /// dirty-host journal performs after a real commit.
+    fn commit(
+        &mut self,
+        scheduler: Scheduler<'_>,
+        topology: &ApplicationTopology,
+        planned: &PlannedPlacement,
+    ) {
+        if scheduler.commit(topology, &planned.outcome.placement, &mut self.state).is_ok() {
+            self.shared.resync(&self.state, planned.hosts.iter().copied());
         }
     }
+
+    /// Virtually releases a departing member's placement.
+    fn release(&mut self, scheduler: Scheduler<'_>, topology: &ApplicationTopology, p: &Placement) {
+        if scheduler.release(topology, p, &mut self.state).is_ok() {
+            self.shared.resync(&self.state, distinct_hosts(p));
+        }
+    }
+}
+
+/// The distinct hosts of `placement`, ascending by index.
+fn distinct_hosts(placement: &Placement) -> Vec<HostId> {
+    let mut hosts = placement.assignments().to_vec();
+    hosts.sort_unstable_by_key(|h| h.index());
+    hosts.dedup();
+    hosts
 }
 
 /// The concurrent placement service. See the module docs for the
@@ -603,16 +583,14 @@ impl<'a> PlacementService<'a> {
     pub fn new(mut session: SchedulerSession<'a>, config: ServiceConfig) -> Self {
         session.refresh();
         let infra = session.infrastructure();
-        let host_epochs = vec![0u64; infra.host_count()];
         let snapshot = Arc::new(PlanSnapshot {
             seq: 0,
-            host_epochs: host_epochs.clone(),
             state: session.state().clone(),
             shared: session.shared().clone_for_snapshot(),
         });
         PlacementService {
             infra,
-            authority: Mutex::new(Authority { session, seq: 0, host_epochs }),
+            authority: Mutex::new(Authority { session, seq: 0 }),
             snapshot: Mutex::new(snapshot),
             stats: Mutex::new(ServiceStats::default()),
             config,
@@ -772,11 +750,12 @@ impl<'a> PlacementService<'a> {
     /// serialized with foreground commits. The plane sees the caller's
     /// `queue_depth` and the current degrade-ladder rung, so sweeps
     /// yield whenever foreground traffic is already struggling. If the
-    /// tick touched the books, every touched host's epoch is bumped —
-    /// in-flight optimistic plans whose hosts were migrated under them
-    /// revalidate instead of committing stale — a fresh snapshot is
-    /// published, and (under durable acknowledgements) one group-commit
-    /// fsync covers every migration record the tick journaled.
+    /// tick touched the books, the sequence number advances — so an
+    /// in-flight optimistic plan whose hosts were migrated under it
+    /// fails its commit as a conflict, not an error — a fresh snapshot
+    /// is published, and (under durable acknowledgements) one
+    /// group-commit fsync covers every migration record the tick
+    /// journaled.
     pub fn maintain(
         &self,
         plane: &mut MaintenancePlane,
@@ -787,13 +766,8 @@ impl<'a> PlacementService<'a> {
         let load = MaintenanceLoad { queue_depth, degrade_level: self.degrade_level() };
         let mut authority = lock_unpoisoned(&self.authority);
         let report = plane.tick(&mut authority.session, ledger, tick, load);
-        let touched: Vec<HostId> = authority.session.pending_dirty_hosts().to_vec();
-        if !touched.is_empty() {
+        if !authority.session.pending_dirty_hosts().is_empty() {
             authority.seq += 1;
-            let seq = authority.seq;
-            for host in touched {
-                authority.host_epochs[host.index()] = seq;
-            }
             self.publish_locked(&mut authority);
             if self.config.durable_acks {
                 authority.session.sync_wal();
@@ -816,7 +790,6 @@ impl<'a> PlacementService<'a> {
         authority.session.refresh();
         let snapshot = Arc::new(PlanSnapshot {
             seq: authority.seq,
-            host_epochs: authority.host_epochs.clone(),
             state: authority.session.state().clone(),
             shared: authority.session.shared().clone_for_snapshot(),
         });
@@ -933,8 +906,8 @@ impl<'a> PlacementService<'a> {
     }
 
     /// Plans against arbitrary (`state`, `shared`) books — the
-    /// snapshot's own, or a batch's speculative overlay — stamping the
-    /// result with `origin` for epoch validation.
+    /// snapshot's own, or a batch's speculative view — stamping the
+    /// result with `origin` for the staleness check.
     fn plan_against(
         &self,
         topology: &ApplicationTopology,
@@ -987,37 +960,26 @@ impl<'a> PlacementService<'a> {
                 st.shard_fallbacks += fallbacks;
             });
         }
-        let mut hosts: Vec<HostId> = outcome.placement.assignments().to_vec();
-        hosts.sort_unstable_by_key(|h| h.index());
-        hosts.dedup();
+        let hosts = distinct_hosts(&outcome.placement);
         Ok(PlannedPlacement { outcome, snapshot: Arc::clone(origin), hosts })
     }
 
-    /// Validate-commit under an already-held lock. Epoch-clean
-    /// decisions commit with exact objectives; epoch-stale ones are
-    /// re-validated by the session's all-or-nothing commit against the
-    /// live books (unless [`ServiceConfig::admit_stale`] is off). A
-    /// commit failure against books that moved since the snapshot is a
-    /// conflict; against unmoved books it is a genuine error.
+    /// Validate-commit under an already-held lock: the session's
+    /// all-or-nothing commit applies the decision against the live
+    /// books. A failure against books that moved since the plan's
+    /// snapshot is a conflict; against unmoved books it is a genuine
+    /// error.
     fn validate_commit_locked(
         &self,
         authority: &mut Authority<'a>,
         topology: &ApplicationTopology,
         planned: &PlannedPlacement,
     ) -> Result<Validated, PlacementError> {
-        if let Some(host) = authority.stale_host(planned) {
-            if !self.config.admit_stale {
-                return Ok(Validated::Conflict { host });
-            }
-            return match authority.apply_commit(topology, &planned.outcome.placement) {
-                Ok(seq) => Ok(Validated::CommittedStale { seq }),
-                Err(_) => Ok(Validated::Conflict { host }),
-            };
-        }
+        let stale = authority.stale_host(planned);
         match authority.apply_commit(topology, &planned.outcome.placement) {
-            Ok(seq) => Ok(Validated::Committed { seq }),
-            Err(e) => match planned.hosts.first() {
-                Some(&host) if authority.seq != planned.snapshot.seq => {
+            Ok(seq) => Ok(Validated::Committed { seq, stale: stale.is_some() }),
+            Err(e) => match stale.or(planned.hosts.first().copied()) {
+                Some(host) if authority.seq != planned.snapshot.seq => {
                     Ok(Validated::Conflict { host })
                 }
                 _ => Err(e),
@@ -1025,10 +987,10 @@ impl<'a> PlacementService<'a> {
         }
     }
 
-    /// Phase 2: validates `planned`'s host epochs and, if nothing
-    /// moved, commits it — taking the commit lock, publishing a fresh
-    /// snapshot, and (with [`ServiceConfig::durable_acks`]) fsyncing
-    /// the WAL before returning.
+    /// Phase 2: commits `planned` if the live books still admit it —
+    /// taking the commit lock, publishing a fresh snapshot, and (with
+    /// [`ServiceConfig::durable_acks`]) fsyncing the WAL before
+    /// returning.
     ///
     /// # Errors
     ///
@@ -1044,7 +1006,7 @@ impl<'a> PlacementService<'a> {
         let mut authority = lock_unpoisoned(&self.authority);
         let mark = authority.session.wal_mark();
         match self.validate_commit_locked(&mut authority, topology, planned)? {
-            committed @ (Validated::Committed { .. } | Validated::CommittedStale { .. }) => {
+            Validated::Committed { seq, stale } => {
                 let durability = self.sync_locked(&mut authority, mark, 1, |session| {
                     let _ = session.release(topology, &planned.outcome.placement);
                 });
@@ -1053,20 +1015,10 @@ impl<'a> PlacementService<'a> {
                 if let Some(err) = durability {
                     return Err(err);
                 }
-                let seq = match committed {
-                    Validated::Committed { seq } => {
-                        self.note(|st| st.committed += 1);
-                        seq
-                    }
-                    Validated::CommittedStale { seq } => {
-                        self.note(|st| {
-                            st.committed += 1;
-                            st.stale_admissions += 1;
-                        });
-                        seq
-                    }
-                    Validated::Conflict { .. } => unreachable!("matched committed variants"),
-                };
+                self.note(|st| {
+                    st.committed += 1;
+                    st.stale_admissions += u64::from(stale);
+                });
                 Ok(CommitAttempt::Committed(ServiceOutcome {
                     seq,
                     outcome: planned.outcome.clone(),
@@ -1301,8 +1253,7 @@ impl<'a> PlacementService<'a> {
     }
 
     /// One admission batch: plan every member against a single
-    /// snapshot, screen within-batch host-set overlap up front, commit
-    /// the survivors under one lock acquisition (one snapshot
+    /// snapshot, commit them under one lock acquisition (one snapshot
     /// publication, one group-commit fsync), then push the losers
     /// through the individual retry path.
     fn process_batch(&self, batch: Vec<Job>) {
@@ -1316,14 +1267,13 @@ impl<'a> PlacementService<'a> {
         let snapshot = self.snapshot();
 
         // Phase 1: plan all arrivals with no lock held. Multi-member
-        // batches plan against a speculative overlay of the snapshot:
+        // batches plan against a speculative view of the snapshot:
         // each member's decision (place or release) is applied
         // virtually before the next member plans, so members stop
-        // colliding with each other inside the batch. Overlaid plans
-        // are epoch-stale by construction relative to the snapshot the
-        // authority will validate against, which is exactly what the
-        // stale-admission path handles — in strict mode the overlay is
-        // skipped so epoch validation stays snapshot-exact.
+        // colliding with each other inside the batch. A later member
+        // landing on an earlier one's hosts is stale by the time it
+        // commits (those hosts are in the dirty journal), which the
+        // live-books commit handles like any other staleness.
         // (A batch holds at most `config.batch` of these, briefly.)
         #[allow(clippy::large_enum_variant)]
         enum Member {
@@ -1332,7 +1282,6 @@ impl<'a> PlacementService<'a> {
                 request: PlacementRequest,
                 ticket: Arc<TicketInner>,
                 plan: Result<PlannedPlacement, PlacementError>,
-                overlap: bool,
                 degraded: bool,
             },
             Release {
@@ -1342,10 +1291,7 @@ impl<'a> PlacementService<'a> {
             },
         }
         let level = self.degrade_level.load(Ordering::Relaxed);
-        let mut view = (self.config.admit_stale && batch.len() > 1).then(|| BatchView {
-            state: snapshot.state.clone(),
-            shared: snapshot.shared.clone_for_snapshot(),
-        });
+        let mut view = (batch.len() > 1).then(|| BatchView::of(&snapshot));
         let scheduler = Scheduler::new(self.infra);
         let mut shed_deadline = 0u64;
         let mut degraded_decisions = 0u64;
@@ -1385,12 +1331,7 @@ impl<'a> PlacementService<'a> {
                                 &snapshot,
                             );
                             if let Ok(planned) = &plan {
-                                if scheduler
-                                    .commit(&topology, &planned.outcome.placement, &mut view.state)
-                                    .is_ok()
-                                {
-                                    view.refresh_hosts(planned.hosts.iter().copied());
-                                }
+                                view.commit(scheduler, &topology, planned);
                             }
                             plan
                         }
@@ -1401,23 +1342,11 @@ impl<'a> PlacementService<'a> {
                             planned.outcome.stats.degraded = true;
                         }
                     }
-                    members.push(Member::Place {
-                        topology,
-                        request,
-                        ticket,
-                        plan,
-                        overlap: false,
-                        degraded,
-                    });
+                    members.push(Member::Place { topology, request, ticket, plan, degraded });
                 }
                 Job::Release { topology, placement, ticket } => {
                     if let Some(view) = view.as_mut() {
-                        if scheduler.release(&topology, &placement, &mut view.state).is_ok() {
-                            let mut hosts: Vec<HostId> = placement.assignments().to_vec();
-                            hosts.sort_unstable_by_key(|h| h.index());
-                            hosts.dedup();
-                            view.refresh_hosts(hosts);
-                        }
+                        view.release(scheduler, &topology, &placement);
                     }
                     members.push(Member::Release { topology, placement, ticket });
                 }
@@ -1428,35 +1357,6 @@ impl<'a> PlacementService<'a> {
                 st.shed_deadline += shed_deadline;
                 st.degraded_decisions += degraded_decisions;
             });
-        }
-
-        // Up-front overlap screen: members claim their host sets in
-        // batch order; a later plan touching an already-claimed host
-        // will be epoch-stale once the earlier member commits. With
-        // stale admission on, the flag routes it through live-book
-        // re-validation; in strict mode it goes straight to the retry
-        // path without entering the lock.
-        let mut claimed = vec![false; self.infra.host_count()];
-        let mut overlaps = 0u64;
-        for member in &mut members {
-            match member {
-                Member::Release { placement, .. } => {
-                    for &host in placement.assignments() {
-                        claimed[host.index()] = true;
-                    }
-                }
-                Member::Place { plan: Ok(planned), overlap, .. } => {
-                    if planned.hosts.iter().any(|h| claimed[h.index()]) {
-                        *overlap = true;
-                        overlaps += 1;
-                    } else {
-                        for &host in &planned.hosts {
-                            claimed[host.index()] = true;
-                        }
-                    }
-                }
-                Member::Place { .. } => {}
-            }
         }
 
         // Phase 2: one commit-lock acquisition for the whole batch.
@@ -1502,74 +1402,47 @@ impl<'a> PlacementService<'a> {
                             }
                         }
                     }
-                    Member::Place { topology, request, ticket, plan, overlap, degraded } => {
-                        match plan {
-                            Ok(planned) if self.config.admit_stale || !overlap => {
-                                match self.validate_commit_locked(
-                                    &mut authority,
-                                    &topology,
-                                    &planned,
-                                ) {
-                                    Ok(
-                                        v @ (Validated::Committed { .. }
-                                        | Validated::CommittedStale { .. }),
-                                    ) => {
-                                        let seq = match v {
-                                            Validated::Committed { seq } => seq,
-                                            Validated::CommittedStale { seq } => {
-                                                stale += 1;
-                                                seq
-                                            }
-                                            Validated::Conflict { .. } => {
-                                                unreachable!("matched committed variants")
-                                            }
-                                        };
-                                        mutated = true;
-                                        committed += 1;
-                                        if log_undo {
-                                            undo_log.push((
-                                                Arc::clone(&topology),
-                                                planned.outcome.placement.clone(),
-                                                true,
-                                            ));
-                                        }
-                                        let mut outcome = planned.outcome;
-                                        outcome.stats.commit_conflicts = 0;
-                                        outcome.stats.replans = 0;
-                                        acks.push((
-                                            ticket,
-                                            ServiceResponse::Placed(ServiceOutcome {
-                                                seq,
-                                                outcome,
-                                            }),
+                    Member::Place { topology, request, ticket, plan, degraded } => match plan {
+                        Ok(planned) => {
+                            match self.validate_commit_locked(&mut authority, &topology, &planned) {
+                                Ok(Validated::Committed { seq, stale: was_stale }) => {
+                                    stale += u64::from(was_stale);
+                                    mutated = true;
+                                    committed += 1;
+                                    if log_undo {
+                                        undo_log.push((
+                                            Arc::clone(&topology),
+                                            planned.outcome.placement.clone(),
+                                            true,
                                         ));
                                     }
-                                    Ok(Validated::Conflict { .. }) => {
-                                        conflicts += 1;
-                                        losers.push((topology, request, ticket, 1, degraded));
-                                    }
-                                    Err(e) => {
-                                        rejected += 1;
-                                        acks.push((ticket, ServiceResponse::Failed(e)));
-                                    }
+                                    let mut outcome = planned.outcome;
+                                    outcome.stats.commit_conflicts = 0;
+                                    outcome.stats.replans = 0;
+                                    acks.push((
+                                        ticket,
+                                        ServiceResponse::Placed(ServiceOutcome { seq, outcome }),
+                                    ));
                                 }
-                            }
-                            Ok(_) => {
-                                // Strict-mode overlap loser: counted as the
-                                // conflict it would have been.
-                                conflicts += 1;
-                                losers.push((topology, request, ticket, 1, degraded));
-                            }
-                            Err(e) => {
-                                if authority.seq == snapshot.seq {
+                                Ok(Validated::Conflict { .. }) => {
+                                    conflicts += 1;
+                                    losers.push((topology, request, ticket, 1, degraded));
+                                }
+                                Err(e) => {
                                     rejected += 1;
                                     acks.push((ticket, ServiceResponse::Failed(e)));
-                                } else {
-                                    losers.push((topology, request, ticket, 0, degraded));
                                 }
                             }
                         }
-                    }
+                        Err(e) => {
+                            if authority.seq == snapshot.seq {
+                                rejected += 1;
+                                acks.push((ticket, ServiceResponse::Failed(e)));
+                            } else {
+                                losers.push((topology, request, ticket, 0, degraded));
+                            }
+                        }
+                    },
                 }
             }
             if mutated {
@@ -1606,7 +1479,6 @@ impl<'a> PlacementService<'a> {
             st.released += released;
             st.rejected += rejected;
             st.commit_conflicts += conflicts;
-            st.overlap_conflicts += overlaps;
             st.stale_admissions += stale;
             // Every conflict loser re-plans in phase 4; count those
             // re-plans here so the global counter matches the sum of
@@ -2001,25 +1873,28 @@ mod tests {
         assert_linearizable(&infra, &base, events, &final_state);
     }
 
-    /// A deterministic forced conflict in strict mode: plan against a
-    /// snapshot, let a competing commit touch the planned hosts, and
-    /// watch validation reject the stale plan; then run the full retry
-    /// loop from the same stale snapshot and watch it re-plan once and
+    /// A deterministic forced conflict: plan against a snapshot, let a
+    /// competing commit consume the planned hosts (9-vcpu VMs cannot
+    /// share a 16-vcpu host, so two identical pairs cannot both land on
+    /// the first two hosts), and watch the live-books commit reject the
+    /// stale plan; then run the full retry loop from the same stale
+    /// snapshot and watch it re-plan once onto the free hosts and
     /// commit.
     #[test]
     fn forced_conflict_is_detected_and_retried() {
-        let infra = infra_flat(1, 2);
+        let infra = infra_flat(1, 4);
         let req = request();
-        let config = ServiceConfig { admit_stale: false, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
+        let service =
+            PlacementService::new(SchedulerSession::new(&infra), ServiceConfig::default());
 
-        // Plan A against the initial snapshot, then commit B — a tiny
-        // DC guarantees host-set overlap.
+        // Plan A against the initial snapshot, then commit B — the same
+        // shape against the same books, hence the same two hosts.
         let stale = service.snapshot();
-        let app_a = pair_app("a", 2);
+        let app_a = pair_app("a", 9);
         let planned = service.plan(&app_a, &req, &stale).unwrap();
-        let app_b = pair_app("b", 2);
-        service.place_blocking(&app_b, &req).unwrap();
+        let app_b = pair_app("b", 9);
+        let winner = service.place_blocking(&app_b, &req).unwrap();
+        assert_eq!(winner.outcome.placement, planned.outcome().placement);
 
         match service.try_commit(&app_a, &planned).unwrap() {
             CommitAttempt::Conflict { host } => {
@@ -2038,6 +1913,7 @@ mod tests {
         assert_eq!(stats.commit_conflicts, 2);
         assert_eq!(stats.replans, 1);
         assert_eq!(stats.serialized_fallbacks, 0);
+        assert_eq!(stats.stale_admissions, 0);
         assert_eq!(stats.committed, 2);
     }
 
@@ -2045,27 +1921,29 @@ mod tests {
     /// the serialized fallback — and still commits.
     #[test]
     fn exhausted_retry_budget_falls_back_to_serialized_planning() {
-        let infra = infra_flat(1, 2);
+        let infra = infra_flat(1, 4);
         let req = request();
-        let config =
-            ServiceConfig { max_retries: 0, admit_stale: false, ..ServiceConfig::default() };
+        let config = ServiceConfig { max_retries: 0, ..ServiceConfig::default() };
         let service = PlacementService::new(SchedulerSession::new(&infra), config);
 
         let stale = service.snapshot();
-        service.place_blocking(&pair_app("winner", 2), &req).unwrap();
-        let outcome = service.place_from(&pair_app("loser", 2), &req, stale, 0, 0).unwrap();
+        service.place_blocking(&pair_app("winner", 9), &req).unwrap();
+        let outcome = service.place_from(&pair_app("loser", 9), &req, stale, 0, 0).unwrap();
         assert_eq!(outcome.outcome.stats.commit_conflicts, 1);
         let stats = service.stats();
         assert_eq!(stats.serialized_fallbacks, 1);
         assert_eq!(stats.committed, 2);
     }
 
-    /// The batch path flags within-batch host-set overlap up front;
-    /// with stale admission the overlapping member re-validates against
-    /// the live books under the same lock and commits without a
-    /// re-plan, with the histogram recording the batch size.
+    /// In-batch staleness: two members of one batch land on the same
+    /// host (the second plans around the first on the batch's
+    /// speculative books and packs next to it). Both commit under one
+    /// lock acquisition, so when the second validates, that host is
+    /// still in the session's dirty journal — no refresh has run — and
+    /// it counts as a stale admission without a conflict or re-plan,
+    /// with the histogram recording the batch size.
     #[test]
-    fn batch_overlap_detected_up_front() {
+    fn in_batch_member_on_a_touched_host_commits_stale() {
         let infra = infra_flat(1, 2);
         let req = request();
         let config = ServiceConfig { planners: 1, batch: 4, ..ServiceConfig::default() };
@@ -2089,13 +1967,14 @@ mod tests {
                 stamp: BudgetStamp::Wall(Instant::now()),
             },
         ]);
-        let ra = Ticket(ta).wait();
-        let rb = Ticket(tb).wait();
-        assert!(matches!(ra, ServiceResponse::Placed(_)), "first member must commit: {ra:?}");
-        assert!(matches!(rb, ServiceResponse::Placed(_)), "overlap member must commit: {rb:?}");
+        let hosts_of = |response: ServiceResponse| match response {
+            ServiceResponse::Placed(outcome) => distinct_hosts(&outcome.outcome.placement),
+            other => panic!("both members must commit: {other:?}"),
+        };
+        let (ha, hb) = (hosts_of(Ticket(ta).wait()), hosts_of(Ticket(tb).wait()));
+        assert!(hb.iter().any(|h| ha.contains(h)), "members must share a host: {ha:?} {hb:?}");
         let stats = service.stats();
-        assert_eq!(stats.overlap_conflicts, 1, "overlap must be caught before the lock");
-        assert_eq!(stats.stale_admissions, 1, "the books still fit both pairs");
+        assert_eq!(stats.stale_admissions, 1, "the second member's host was journaled dirty");
         assert_eq!(stats.commit_conflicts, 0);
         assert_eq!(stats.replans, 0);
         assert_eq!(stats.batches, 1);
@@ -2103,42 +1982,35 @@ mod tests {
         assert_eq!(stats.committed, 2);
     }
 
-    /// Strict mode sends the within-batch overlap member to the retry
-    /// path instead, where it re-plans and commits.
+    /// The batch's speculative books stay a faithful mirror: after k
+    /// virtual commits and releases, the view's table columns and pod
+    /// digests equal a mirror built from scratch over the view's state.
     #[test]
-    fn strict_batch_overlap_goes_to_retry_path() {
-        let infra = infra_flat(1, 2);
+    fn batch_view_mirror_matches_fresh_rebuild_after_virtual_churn() {
+        let infra = infra_flat(2, 4);
         let req = request();
-        let config =
-            ServiceConfig { planners: 1, batch: 4, admit_stale: false, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-
-        let a = Arc::new(pair_app("a", 2));
-        let b = Arc::new(pair_app("b", 2));
-        let ta = Arc::new(TicketInner::default());
-        let tb = Arc::new(TicketInner::default());
-        service.process_batch(vec![
-            Job::Place {
-                topology: Arc::clone(&a),
-                request: req.clone(),
-                ticket: Arc::clone(&ta),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-            Job::Place {
-                topology: Arc::clone(&b),
-                request: req.clone(),
-                ticket: Arc::clone(&tb),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-        ]);
-        assert!(matches!(Ticket(ta).wait(), ServiceResponse::Placed(_)));
-        assert!(matches!(Ticket(tb).wait(), ServiceResponse::Placed(_)));
-        let stats = service.stats();
-        assert_eq!(stats.overlap_conflicts, 1);
-        assert_eq!(stats.commit_conflicts, 1, "strict mode turns the overlap into a conflict");
-        assert_eq!(stats.replans, 1);
-        assert_eq!(stats.stale_admissions, 0);
-        assert_eq!(stats.committed, 2);
+        let service =
+            PlacementService::new(SchedulerSession::new(&infra), ServiceConfig::default());
+        // Start from non-idle books so the view clones real rows.
+        service.place_blocking(&hub_app("resident"), &req).unwrap();
+        let snapshot = service.snapshot();
+        let scheduler = Scheduler::new(&infra);
+        let mut view = BatchView::of(&snapshot);
+        let mut members: Vec<(ApplicationTopology, Placement)> = Vec::new();
+        for k in 0..6u32 {
+            let app = if k % 2 == 0 { hub_app("h") } else { pair_app("p", 2 + k) };
+            let planned =
+                service.plan_against(&app, &req, &view.state, &view.shared, &snapshot).unwrap();
+            view.commit(scheduler, &app, &planned);
+            view.shared.assert_mirrors(&infra, &view.state, &format!("virtual commit {k}"));
+            members.push((app, planned.outcome.placement));
+            if k % 3 == 2 {
+                let (app, placement) = members.remove(0);
+                view.release(scheduler, &app, &placement);
+                view.shared.assert_mirrors(&infra, &view.state, &format!("virtual release {k}"));
+            }
+        }
+        assert_ne!(view.state, snapshot.state, "the view must have diverged from its snapshot");
     }
 
     /// Stale admission end-to-end: a plan whose snapshot went stale

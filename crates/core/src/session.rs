@@ -1,33 +1,49 @@
-//! The long-lived placement service: a [`SchedulerSession`] owns one
+//! The long-lived placement session: a [`SchedulerSession`] owns one
 //! evolving [`CapacityState`] plus every piece of cross-request state a
-//! streaming scheduler can reuse — the bound-memo cache, per-host
-//! availability summaries, and the scoring worker pool — so a request
+//! streaming scheduler can reuse — the bound-memo cache, the per-host
+//! mirror of the books, and the scoring worker pool — so a request
 //! arriving after a thousand others starts warm instead of rebuilding
 //! all of it from zero.
 //!
-//! # Invalidation protocol
+//! # One mirror, one epoch
+//!
+//! The books have exactly one derived per-host mirror: the base
+//! columns of the session's [`CapacityTable`] (free resources, NIC
+//! headroom, activity, availability-group signature), with the
+//! per-pod [`PodDigests`](crate::shard::PodDigests) folded from the
+//! same values. Everything fixed by the infrastructure — rack/pod/site
+//! coordinates, pod host ranges — sits in one shared
+//! [`FleetLayout`](ostro_datacenter::FleetLayout), so a snapshot or
+//! per-request clone copies only what a commit can change.
 //!
 //! Every mutation of the session's state (`commit`, `release`,
-//! `release_partial`, `deploy`, `evacuate`, `quarantine_host`, raw
-//! node reservations) records the touched hosts in a *dirty-host
-//! journal*. The next placement drains the journal: each dirty host
-//! gets its [`HostSummary`] recomputed from the live state and its
-//! epoch bumped; untouched hosts keep their summaries and signatures
-//! byte-for-byte, so cache entries keyed on them stay hot.
+//! `release_partial`, `deploy`, `evacuate`, `migrate`,
+//! `quarantine_host`, `reconcile`, raw node reservations) records the
+//! touched hosts in a *dirty-host journal*. The next placement drains
+//! the journal through `SessionShared::resync` — the only code that
+//! re-resolves a host from the books: the host's table row is
+//! rewritten, its pod digest retires the old row and admits the new
+//! one, and its *refresh epoch* advances. Untouched hosts keep their
+//! rows and signatures byte-for-byte, so cache entries keyed on them
+//! stay hot. A host has changed since an observer last looked iff it
+//! is still in the journal or its refresh epoch moved
+//! (`SchedulerSession::changed_since`) — the one staleness test the
+//! concurrent service needs.
 //!
 //! # Why value keys make warm hits *exact*
 //!
 //! The session cache is keyed purely by **values**, never identities:
 //! the topology's structure signature, the partial placement expressed
 //! as a node→slot partition with each slot's exact remaining
-//! availability, and the candidate's availability signature.
-//! [`lower_bound_mbps`] consults exactly those inputs — it never reads
-//! a host id into the bound — so two resolutions with equal keys are
-//! the *same computation* and a warm hit returns the bit-exact value a
-//! cold evaluation would produce. This is what lets the cache survive
-//! across requests, tenants, and even differently-named topologies of
-//! the same shape, while the `commit`/`release` journal keeps the
-//! summaries the keys are built from truthful.
+//! availability, and the candidate's availability-group signature
+//! (§III-A2's bound depends on a candidate only through its
+//! availability). [`lower_bound_mbps`] consults exactly those inputs —
+//! it never reads a host id into the bound — so two resolutions with
+//! equal keys are the *same computation* and a warm hit returns the
+//! bit-exact value a cold evaluation would produce. This is what lets
+//! the cache survive across requests, tenants, and even
+//! differently-named topologies of the same shape, while the dirty
+//! journal keeps the signatures the keys are built from truthful.
 //!
 //! [`lower_bound_mbps`]: crate::heuristic::lower_bound_mbps
 
@@ -53,34 +69,6 @@ use crate::wal::{self, Effect, Recovery, Wal, WalError, WalMark, WalOp};
 /// entry the two live generations stay comfortably inside a few
 /// megabytes while covering far more keys than one request produces.
 const SESSION_CACHE_CAP: usize = 1 << 18;
-
-/// Per-host availability digest maintained incrementally from the
-/// dirty-host journal (the "incremental candidate maintenance" half of
-/// the session): always equal to what a full rescan of the live state
-/// would produce, verified by the invalidation property test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HostSummary {
-    /// Remaining host-local capacity — exactly `state.available(host)`.
-    pub free: Resources,
-    /// Remaining NIC uplink headroom in Mbps.
-    pub nic_mbps: u64,
-    /// Availability-group signature of an overlay-untouched host,
-    /// matching [`OverlayState::host_group_signature`]'s epoch-0 chain
-    /// bit-for-bit so session keys agree with per-request keys.
-    ///
-    /// [`OverlayState::host_group_signature`]:
-    ///     ostro_datacenter::OverlayState::host_group_signature
-    pub avail_sig: u64,
-}
-
-/// The epoch-0 group signature chain of
-/// `OverlayState::host_group_signature`, reproduced over a summary's
-/// availability.
-pub(crate) fn avail_signature(avail: Resources) -> u64 {
-    let a = mix64(u64::from(avail.vcpus));
-    let b = mix64(a ^ avail.memory_mb);
-    mix64(b ^ avail.disk_gb)
-}
 
 /// One memoized heuristic bound, tagged with the request generation
 /// that wrote it so hits can be classified warm (cross-request) vs
@@ -150,12 +138,10 @@ impl SessionCache {
 /// context of every request the session serves.
 #[derive(Debug)]
 pub(crate) struct SessionShared {
-    /// One summary per host, kept exactly in sync with the session's
-    /// state through the dirty-host journal.
-    pub(crate) summaries: Vec<HostSummary>,
-    /// Per-host refresh epochs: how many times each host's summary was
-    /// re-resolved from the journal. Diagnostics and tests only — the
-    /// cache keys are value-based and never read these.
+    /// Per-host refresh epochs: how many times each host was
+    /// re-resolved by [`resync`](Self::resync). Cache keys are
+    /// value-based and never read these; the service's staleness test
+    /// does (see [`SchedulerSession::changed_since`]).
     pub(crate) epochs: Vec<u64>,
     /// The cross-request bound cache. Behind an [`Arc`] so epoch
     /// snapshots ([`clone_for_snapshot`](Self::clone_for_snapshot))
@@ -167,57 +153,86 @@ pub(crate) struct SessionShared {
     /// large enough to engage it and reused (workers, scratch buffers
     /// and all) for the rest of the session's life.
     pub(crate) pool: OnceLock<ScoringPool>,
-    /// Structure-of-arrays mirror of the session's base state (never
-    /// overlay-synced itself), kept fresh by the same dirty-host journal
-    /// that maintains the summaries. Each request clones it — a few
-    /// contiguous memcpys — instead of recomputing every column.
+    /// The mirror of the books: a base-only capacity table (never
+    /// overlay-synced itself). Each request clones its columns — a few
+    /// contiguous memcpys — instead of recomputing them.
     pub(crate) table: CapacityTable,
-    /// Per-pod aggregate digests for the sharded coarse stage, updated
-    /// by the same dirty-host journal: whenever a summary is
-    /// re-resolved, its pod's digest retires the old summary and admits
-    /// the new one — bit-exactly equal to a from-scratch rebuild.
+    /// Per-pod aggregate digests for the sharded coarse stage, over the
+    /// table's own [`FleetLayout`](ostro_datacenter::FleetLayout) and
+    /// moved in lockstep with its rows — bit-exactly equal to a
+    /// from-scratch rebuild.
     pub(crate) pods: crate::shard::PodDigests,
 }
 
 impl SessionShared {
     fn new(infra: &Infrastructure, state: &CapacityState) -> Self {
-        let summaries = infra
-            .hosts()
-            .iter()
-            .map(|h| {
-                let free = state.available(h.id());
-                HostSummary {
-                    free,
-                    nic_mbps: state.nic_available(h.id()).as_mbps(),
-                    avail_sig: avail_signature(free),
-                }
-            })
-            .collect::<Vec<_>>();
+        let table = CapacityTable::new(infra, state);
         SessionShared {
-            epochs: vec![0; summaries.len()],
-            pods: crate::shard::PodDigests::new(infra, &summaries),
-            summaries,
+            epochs: vec![0; infra.host_count()],
             cache: Arc::new(Mutex::new(SessionCache::default())),
             pool: OnceLock::new(),
-            table: CapacityTable::new(infra, state),
+            pods: crate::shard::PodDigests::from_state(Arc::clone(table.layout()), state),
+            table,
         }
     }
 
-    /// A frozen copy for an epoch snapshot: summaries, epochs, and the
-    /// capacity-table columns are cloned (they describe one specific
-    /// state), the bound cache is *shared* (its keys are state-
-    /// independent values), and the scoring pool starts empty — each
-    /// concurrent planner must bring its own workers, a pool serves one
-    /// search at a time.
+    /// Re-resolves `hosts` from `state`: each host's table row is
+    /// rewritten, its pod digest swaps the old row for the new one, and
+    /// its refresh epoch advances. The only loop that derives per-host
+    /// mirror data from the books after construction — the session's
+    /// dirty-journal drain and the service's speculative batch books
+    /// both go through it.
+    pub(crate) fn resync(
+        &mut self,
+        state: &CapacityState,
+        hosts: impl IntoIterator<Item = HostId>,
+    ) {
+        for host in hosts {
+            let old = self.row(host);
+            self.table.refresh_base_host(state, host);
+            self.pods.update(host, old, self.row(host));
+            self.epochs[host.index()] += 1;
+        }
+    }
+
+    /// `host`'s mirrored `(free, nic_mbps)`.
+    fn row(&self, host: HostId) -> (Resources, u64) {
+        (self.table.available(host), self.table.nic_mbps()[host.index()])
+    }
+
+    /// A frozen copy for an epoch snapshot: epochs, table columns and
+    /// pod digests are cloned (they describe one specific state; the
+    /// construction-time layout behind them is shared, not copied), the
+    /// bound cache is *shared* (its keys are state-independent values),
+    /// and the scoring pool starts empty — each concurrent planner must
+    /// bring its own workers, a pool serves one search at a time.
     pub(crate) fn clone_for_snapshot(&self) -> SessionShared {
         SessionShared {
-            summaries: self.summaries.clone(),
             epochs: self.epochs.clone(),
             cache: Arc::clone(&self.cache),
             pool: OnceLock::new(),
             table: self.table.clone(),
             pods: self.pods.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+impl SessionShared {
+    /// Test oracle for the one-mirror invariant: every derived column
+    /// and every pod digest equals a mirror built from scratch over
+    /// `state`.
+    pub(crate) fn assert_mirrors(&self, infra: &Infrastructure, state: &CapacityState, what: &str) {
+        let fresh = SessionShared::new(infra, state);
+        let (table, scratch) = (&self.table, &fresh.table);
+        assert_eq!(table.vcpus(), scratch.vcpus(), "{what}: vcpus column");
+        assert_eq!(table.memory_mb(), scratch.memory_mb(), "{what}: memory column");
+        assert_eq!(table.disk_gb(), scratch.disk_gb(), "{what}: disk column");
+        assert_eq!(table.nic_mbps(), scratch.nic_mbps(), "{what}: nic column");
+        assert_eq!(table.epochs(), scratch.epochs(), "{what}: overlay-epoch column");
+        assert_eq!(table.group_sigs(), scratch.group_sigs(), "{what}: signature column");
+        assert_eq!(table.active(), scratch.active(), "{what}: active column");
+        assert_eq!(self.pods, fresh.pods, "{what}: pod digests");
     }
 }
 
@@ -449,8 +464,8 @@ impl<'a> SchedulerSession<'a> {
         self.scheduler
     }
 
-    /// The shared half of the session (summaries, epochs, bound cache,
-    /// capacity table) — what an epoch snapshot clones.
+    /// The shared half of the session (mirror, epochs, bound cache) —
+    /// what an epoch snapshot clones.
     pub(crate) fn shared(&self) -> &SessionShared {
         &self.shared
     }
@@ -556,11 +571,19 @@ impl<'a> SchedulerSession<'a> {
         self.state
     }
 
-    /// How many times `host`'s summary was re-resolved from the dirty
-    /// journal — its availability epoch. Untouched hosts stay at 0.
+    /// How many times `host` was re-resolved from the dirty journal —
+    /// its refresh epoch. Untouched hosts stay at 0.
     #[must_use]
     pub fn host_epoch(&self, host: HostId) -> u64 {
         self.shared.epochs[host.index()]
+    }
+
+    /// Whether `host`'s books may differ from what an observer holding
+    /// refresh epoch `epoch` for it saw: the host is still in the dirty
+    /// journal (touched, not yet re-resolved), or it was re-resolved
+    /// since.
+    pub(crate) fn changed_since(&self, host: HostId, epoch: u64) -> bool {
+        self.dirty_flags[host.index()] || self.shared.epochs[host.index()] != epoch
     }
 
     /// Hosts currently journaled dirty (touched since the last
@@ -582,7 +605,7 @@ impl<'a> SchedulerSession<'a> {
     /// quarantined host — a tenant departing normally after its host
     /// was frozen — would silently *resurrect* the capacity the
     /// quarantine zeroed, and candidate sweeps (and the pod digests
-    /// built from the summaries) would rank capacity nothing can use.
+    /// folded from the same rows) would rank capacity nothing can use.
     /// Every release-shaped mutation calls this; WAL replay applies
     /// the identical re-freeze per effect, so recovery stays
     /// bit-identical to the live books.
@@ -594,26 +617,16 @@ impl<'a> SchedulerSession<'a> {
         }
     }
 
-    /// Drains the dirty-host journal into the summaries and the shared
-    /// capacity-table columns: exactly the journaled hosts are
-    /// re-resolved from the live state; everything else keeps its
-    /// summary (and therefore its cache keys) untouched.
+    /// Drains the dirty-host journal into the shared mirror: exactly
+    /// the journaled hosts are re-resolved from the live state;
+    /// everything else keeps its row (and therefore its cache keys)
+    /// untouched.
     pub(crate) fn refresh(&mut self) -> u64 {
         let drained = self.dirty.len() as u64;
-        for host in self.dirty.drain(..) {
-            let free = self.state.available(host);
-            let fresh = HostSummary {
-                free,
-                nic_mbps: self.state.nic_available(host).as_mbps(),
-                avail_sig: avail_signature(free),
-            };
-            let old = self.shared.summaries[host.index()];
-            self.shared.pods.update(host.index(), &old, &fresh);
-            self.shared.summaries[host.index()] = fresh;
-            self.shared.table.refresh_base_host(&self.state, host);
-            self.shared.epochs[host.index()] += 1;
+        for &host in &self.dirty {
             self.dirty_flags[host.index()] = false;
         }
+        self.shared.resync(&self.state, self.dirty.drain(..));
         drained
     }
 
@@ -639,10 +652,6 @@ impl<'a> SchedulerSession<'a> {
     /// # Errors
     ///
     /// As [`Scheduler::place_pinned`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pinned.len() != topology.node_count()`.
     pub fn place_pinned(
         &mut self,
         topology: &ApplicationTopology,
@@ -767,14 +776,14 @@ impl<'a> SchedulerSession<'a> {
     /// The decided hosts and every host the report actually committed
     /// are journaled. The pipeline's internal fallback re-plans run
     /// against a *scratch* state whose availability the session
-    /// summaries do not describe, so they deliberately solve cold —
+    /// mirror does not describe, so they deliberately solve cold —
     /// only the session's own requests are served warm.
     ///
     /// # Errors
     ///
     /// As [`Scheduler::deploy`] (on error the state was rolled back;
     /// the conservative journaling of the decided hosts is harmless —
-    /// their summaries re-resolve to unchanged values).
+    /// their rows re-resolve to unchanged values).
     #[allow(clippy::too_many_arguments)]
     pub fn deploy(
         &mut self,
@@ -986,7 +995,7 @@ impl<'a> SchedulerSession<'a> {
     /// deliberately frozen.
     ///
     /// Repaired hosts are journaled dirty, so the next placement
-    /// re-resolves exactly the corrected summaries.
+    /// re-resolves exactly the corrected rows.
     ///
     /// # Errors
     ///
@@ -1048,7 +1057,7 @@ mod tests {
 
     use super::*;
     use crate::request::Algorithm;
-    use ostro_datacenter::InfrastructureBuilder;
+    use ostro_datacenter::{base_group_signature, InfrastructureBuilder};
     use ostro_model::{Bandwidth, DiversityLevel, TopologyBuilder};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1237,6 +1246,30 @@ mod tests {
         }
     }
 
+    /// A snapshot copies only what a commit can change: the
+    /// construction-time fleet layout behind the table and the pod
+    /// digests is the session's own allocation, shared.
+    #[test]
+    fn snapshot_shares_the_fleet_layout_instead_of_copying_it() {
+        let infra = infra_flat(2, 4);
+        let session = SchedulerSession::new(&infra);
+        let layout = session.shared.table.layout();
+        assert!(Arc::ptr_eq(layout, session.shared.pods.layout()), "table and digests share one");
+        let snapshot = session.shared.clone_for_snapshot();
+        assert!(Arc::ptr_eq(layout, snapshot.table.layout()));
+        assert!(Arc::ptr_eq(layout, snapshot.pods.layout()));
+    }
+
+    /// A mis-sized pin slice is a typed error, not a panic.
+    #[test]
+    fn place_pinned_rejects_mis_sized_pins() {
+        let infra = infra_flat(2, 4);
+        let app = chain_app("c");
+        let mut session = SchedulerSession::new(&infra);
+        let err = session.place_pinned(&app, &PlacementRequest::default(), &[None]).unwrap_err();
+        assert_eq!(err, PlacementError::PriorLengthMismatch { expected: 4, actual: 1 });
+    }
+
     #[test]
     fn topology_signature_ignores_names_but_not_structure() {
         let a = hub_app("alpha");
@@ -1287,10 +1320,10 @@ mod tests {
     /// The satellite property test: a random commit/release/evacuate/
     /// reserve stream must (1) journal exactly the touched hosts,
     /// (2) bump epochs exactly once per refresh of a touched host,
-    /// (3) keep every non-journaled summary byte-identical to a full
+    /// (3) keep every non-journaled mirror row byte-identical to a full
     /// rescan, and (4) stay bit-identical to a cold shadow scheduler —
     /// the stale-entry detector: any under-invalidation shows up as a
-    /// diverging placement or a stale summary.
+    /// diverging placement or a stale row.
     #[test]
     fn journal_invalidates_exactly_the_touched_hosts() {
         let mut rng = SmallRng::seed_from_u64(0x5E55_104B);
@@ -1465,24 +1498,25 @@ mod tests {
                         "{what}: epoch of host {h}"
                     );
                 }
-                // (3) Every non-journaled summary equals a full rescan;
-                // journaled hosts are allowed to lag until refresh.
+                // (3) Every non-journaled mirror row equals a full
+                // rescan; journaled hosts are allowed to lag until
+                // refresh.
                 for h in 0..infra.host_count() {
                     if pending.contains(&h) {
                         continue;
                     }
                     let id = HostId::from_index(h as u32);
                     let free = session.state.available(id);
-                    let summary = session.shared.summaries[h];
-                    assert_eq!(summary.free, free, "{what}: stale free summary, host {h}");
+                    let table = &session.shared.table;
+                    assert_eq!(table.available(id), free, "{what}: stale free row, host {h}");
                     assert_eq!(
-                        summary.nic_mbps,
-                        session.state.nic_available(id).as_mbps(),
-                        "{what}: stale nic summary, host {h}"
+                        table.nic_available(id),
+                        session.state.nic_available(id),
+                        "{what}: stale nic row, host {h}"
                     );
                     assert_eq!(
-                        summary.avail_sig,
-                        avail_signature(free),
+                        table.group_sig(id),
+                        base_group_signature(free),
                         "{what}: stale availability signature, host {h}"
                     );
                 }
@@ -1664,26 +1698,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Drains the journal, then checks the whole mirror (table columns
+    /// incl. `group_sig`, pod digests) against a from-scratch
+    /// [`SessionShared::new`] over the live state.
+    fn assert_mirror_fresh(session: &mut SchedulerSession<'_>, what: &str) {
+        session.refresh();
+        session.shared.assert_mirrors(session.infrastructure(), session.state(), what);
+    }
+
     /// After any mix of session mutations — commit, release, evacuate,
     /// direct reserve/release, reconcile repairs — the dirty-host
-    /// refresh must leave the shared capacity table's columns
-    /// bit-identical to a table freshly built from the live state.
+    /// refresh must leave the shared mirror bit-identical to one
+    /// freshly built from the live state.
     #[test]
     fn shared_table_matches_fresh_rebuild_after_session_churn() {
         use crate::reconcile::HostTruth;
-
-        fn assert_table_fresh(session: &mut SchedulerSession<'_>, what: &str) {
-            session.refresh();
-            let fresh = CapacityTable::new(session.infrastructure(), session.state());
-            let table = &session.shared.table;
-            assert_eq!(table.vcpus(), fresh.vcpus(), "{what}: vcpus column");
-            assert_eq!(table.memory_mb(), fresh.memory_mb(), "{what}: memory column");
-            assert_eq!(table.disk_gb(), fresh.disk_gb(), "{what}: disk column");
-            assert_eq!(table.nic_mbps(), fresh.nic_mbps(), "{what}: nic column");
-            assert_eq!(table.epochs(), fresh.epochs(), "{what}: epoch column");
-            assert_eq!(table.group_sigs(), fresh.group_sigs(), "{what}: signature column");
-            assert_eq!(table.active(), fresh.active(), "{what}: active column");
-        }
 
         let infra = infra_flat(3, 4);
         let mut session = SchedulerSession::new(&infra);
@@ -1692,47 +1721,45 @@ mod tests {
         let app_a = hub_app("a");
         let placed_a = session.place(&app_a, &request).unwrap();
         session.commit(&app_a, &placed_a.placement).unwrap();
-        assert_table_fresh(&mut session, "after commit a");
+        assert_mirror_fresh(&mut session, "after commit a");
 
         let app_b = chain_app("b");
         let placed_b = session.place(&app_b, &request).unwrap();
         session.commit(&app_b, &placed_b.placement).unwrap();
-        assert_table_fresh(&mut session, "after commit b");
+        assert_mirror_fresh(&mut session, "after commit b");
 
         session.release(&app_a, &placed_a.placement).unwrap();
-        assert_table_fresh(&mut session, "after release a");
+        assert_mirror_fresh(&mut session, "after release a");
 
         let assignment: Vec<Option<HostId>> =
             placed_b.placement.assignments().iter().copied().map(Some).collect();
         let failed = placed_b.placement.assignments()[0];
         let ev = session.evacuate(&app_b, &assignment, &request, failed, 4).unwrap();
         session.commit(&app_b, &ev.online.outcome.placement).unwrap();
-        assert_table_fresh(&mut session, "after evacuation");
+        assert_mirror_fresh(&mut session, "after evacuation");
 
         let unit = Resources::new(2, 2_048, 50);
         session.reserve_node(HostId::from_index(5), unit).unwrap();
-        assert_table_fresh(&mut session, "after direct reserve");
+        assert_mirror_fresh(&mut session, "after direct reserve");
 
         // Anti-entropy repair: truth says host 5 runs two instances.
         let truth =
             vec![HostTruth { host: HostId::from_index(5), used: unit + unit, instances: 2 }];
         session.reconcile(&truth).unwrap();
-        assert_table_fresh(&mut session, "after reconcile");
+        assert_mirror_fresh(&mut session, "after reconcile");
 
         session.release_node(HostId::from_index(5), unit + unit).unwrap();
-        assert_table_fresh(&mut session, "after direct release");
+        assert_mirror_fresh(&mut session, "after direct release");
     }
 
     /// The sharded coarse stage's property test: after any randomized
     /// commit / release / evacuate / direct-reserve / reconcile
     /// sequence, the journal-maintained pod digests are *bit-identical*
-    /// to digests rebuilt from scratch — at every event against the
-    /// current summaries (digests and summaries move in lockstep), and
-    /// after every journal drain against the live state itself.
+    /// to digests rebuilt from scratch (`PodDigests::from_state` inside
+    /// a from-scratch mirror) after every event's journal drain.
     #[test]
     fn pod_digests_match_scratch_rebuild_after_random_churn() {
         use crate::reconcile::HostTruth;
-        use crate::shard::PodDigests;
 
         // 3 pods × 2 racks × 4 hosts so digests actually partition.
         let mut b = InfrastructureBuilder::new();
@@ -1825,23 +1852,9 @@ mod tests {
                         session.reconcile(&[HostTruth { host, used, instances }]).unwrap();
                     }
                 }
-                // Digests and summaries move in lockstep: folding the
-                // current summaries from scratch must reproduce the
-                // incrementally maintained digests exactly — even with
-                // journaled-but-unrefreshed hosts outstanding.
-                assert_eq!(
-                    session.shared.pods,
-                    PodDigests::new(&infra, &session.shared.summaries),
-                    "{what}: digests diverged from a summary fold"
-                );
-                // After a drain, the summaries equal the live state, so
+                // After a drain the mirror equals the live state, so
                 // the digests must too.
-                session.refresh();
-                assert_eq!(
-                    session.shared.pods,
-                    PodDigests::from_state(&infra, session.state()),
-                    "{what}: digests diverged from a live-state rebuild"
-                );
+                assert_mirror_fresh(&mut session, &what);
             }
         }
     }
@@ -1856,8 +1869,6 @@ mod tests {
     /// sharded search refuse to land on the host.
     #[test]
     fn release_on_quarantined_host_does_not_resurrect_capacity() {
-        use crate::shard::PodDigests;
-
         // 2 pods × 1 rack × 2 hosts so the digest pre-selection has
         // real pods to rank.
         let mut b = InfrastructureBuilder::new();
@@ -1907,12 +1918,11 @@ mod tests {
             "release resurrected quarantined capacity"
         );
         assert_eq!(session.state().nic_available(victim).as_mbps(), 0);
-        assert_eq!(session.shared.summaries[victim.index()].free, Resources::ZERO);
+        assert_eq!(session.shared.table.available(victim), Resources::ZERO);
 
-        // Digest invariants: the incrementally maintained digests
-        // equal both a summary fold and a live-state rebuild.
-        assert_eq!(session.shared.pods, PodDigests::new(&infra, &session.shared.summaries));
-        assert_eq!(session.shared.pods, PodDigests::from_state(&infra, session.state()));
+        // Mirror invariant: the incrementally maintained table and
+        // digests equal a from-scratch rebuild over the live state.
+        assert_mirror_fresh(&mut session, "after the quarantined release");
 
         // Only the phantom capacity could fit this app: every live
         // host has 2 free vcpus, the quarantined host would have 6 if
@@ -1935,7 +1945,7 @@ mod tests {
     /// Satellite regression: evacuating a host none of the tenant's
     /// replicas live on is a cheap no-op — only the failed host itself
     /// is journaled (for the quarantine); the tenant's hosts keep
-    /// their epochs, summaries, and warm cache entries.
+    /// their epochs, mirror rows, and warm cache entries.
     #[test]
     fn evacuate_of_untouched_host_keeps_epochs_and_skips_search() {
         let infra = infra_flat(4, 8);

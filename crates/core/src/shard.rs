@@ -3,12 +3,12 @@
 //!
 //! Every pod carries an aggregate [`PodDigest`] — capacity sums, a
 //! free-slot histogram, and NIC headroom, all folded from the same
-//! per-host availability the session's [`HostSummary`] journal tracks.
+//! per-host availability the session's capacity table mirrors.
 //! Digests are integer-only sums and bucket counts, so the session's
-//! dirty-host journal maintains them incrementally (subtract the old
-//! summary's contribution, add the new one) with *bit-exact* equality
-//! to a from-scratch rebuild — the invariant the randomized
-//! maintenance property test pins.
+//! dirty-host resync maintains them incrementally (subtract the host's
+//! old contribution, add the new one) with *bit-exact* equality to a
+//! from-scratch rebuild — the invariant the randomized maintenance
+//! property test pins.
 //!
 //! A sharded request scores every pod's digest against the topology's
 //! aggregate footprint, keeps the top-K candidates, and runs the
@@ -22,10 +22,10 @@
 //! false` by construction.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ostro_datacenter::{CapacityState, HostId, Infrastructure};
+use ostro_datacenter::{CapacityState, FleetLayout, HostId, Infrastructure};
 use ostro_model::{ApplicationTopology, Resources};
 
 use crate::error::PlacementError;
@@ -34,7 +34,7 @@ use crate::pool::ScoringPool;
 use crate::request::{PlacementRequest, DEFAULT_PODS_CONSIDERED};
 use crate::scheduler::{run_algorithm, Scheduler};
 use crate::search::{resolve_score_threads, Ctx};
-use crate::session::{HostSummary, SessionShared};
+use crate::session::SessionShared;
 
 /// Buckets of the free-vCPU histogram: bucket 0 holds exhausted hosts,
 /// bucket `k >= 1` hosts with free vCPUs in `[2^(k-1), 2^k)`, and the
@@ -111,88 +111,36 @@ impl PodDigest {
     }
 }
 
-/// All pods' digests plus the host → pod map and per-pod host-id
-/// ranges, kept incrementally current by whoever owns the per-host
-/// summaries (the session's dirty journal, a batch view's speculative
-/// refresh) via [`update`](Self::update).
+/// All pods' digests over a shared [`FleetLayout`] (host → pod map and
+/// per-pod host ranges), kept incrementally current by whoever owns the
+/// per-host mirror via [`update`](Self::update).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PodDigests {
-    /// Host index → pod ordinal.
-    host_pod: Vec<u32>,
-    /// Per pod: the contiguous `[lo, hi)` host-index range (empty when
-    /// the pod has no hosts, meaningless when `contiguous` is false).
-    ranges: Vec<Range<u32>>,
+    layout: Arc<FleetLayout>,
     digests: Vec<PodDigest>,
-    /// Whether every pod's hosts occupy one contiguous id range — the
-    /// precondition for restricting the exact search to a pod by host
-    /// range. Builders emit hosts pod-by-pod so this holds for every
-    /// generated fleet; a hand-built interleaved layout falls back.
-    contiguous: bool,
 }
 
 impl PodDigests {
-    /// Digests folded from a session's host summaries.
-    pub(crate) fn new(infra: &Infrastructure, summaries: &[HostSummary]) -> Self {
-        Self::build(infra, |i| {
-            let s = &summaries[i];
-            (s.free, s.nic_mbps)
-        })
-    }
-
-    /// Digests folded straight from live capacity state (the one-shot,
-    /// sessionless path — a full O(hosts) scan).
-    pub(crate) fn from_state(infra: &Infrastructure, state: &CapacityState) -> Self {
-        Self::build(infra, |i| {
-            let host = infra.hosts()[i].id();
-            (state.available(host), state.nic_available(host).as_mbps())
-        })
-    }
-
-    fn build(infra: &Infrastructure, avail: impl Fn(usize) -> (Resources, u64)) -> Self {
-        let pod_count = infra.pods().len();
-        let n = infra.host_count();
-        let mut host_pod = vec![0u32; n];
-        let mut digests = vec![PodDigest::default(); pod_count];
-        // (min, max) host index seen per pod; hosts counted in the
-        // digest itself.
-        let mut extents: Vec<Option<(u32, u32)>> = vec![None; pod_count];
-        for (i, slot) in host_pod.iter_mut().enumerate() {
+    /// Digests folded from live capacity state — a full O(hosts) scan,
+    /// paid once per session and once per one-shot sharded request.
+    pub(crate) fn from_state(layout: Arc<FleetLayout>, state: &CapacityState) -> Self {
+        let mut digests = vec![PodDigest::default(); layout.pod_count()];
+        for (i, &pod) in layout.pods().iter().enumerate() {
             let host = HostId::from_index(i as u32);
-            let (_, pod, _) = infra.location(host);
-            let p = pod.index();
-            *slot = p as u32;
-            let (free, nic) = avail(i);
-            digests[p].hosts += 1;
-            digests[p].admit(free, nic);
-            extents[p] = Some(match extents[p] {
-                None => (i as u32, i as u32),
-                Some((lo, hi)) => (lo.min(i as u32), hi.max(i as u32)),
-            });
+            let d = &mut digests[pod as usize];
+            d.hosts += 1;
+            d.admit(state.available(host), state.nic_available(host).as_mbps());
         }
-        let mut contiguous = true;
-        let ranges = extents
-            .iter()
-            .zip(&digests)
-            .map(|(extent, d)| match extent {
-                Some((lo, hi)) => {
-                    if hi - lo + 1 != d.hosts {
-                        contiguous = false;
-                    }
-                    *lo..hi + 1
-                }
-                None => 0..0,
-            })
-            .collect();
-        PodDigests { host_pod, ranges, digests, contiguous }
+        PodDigests { layout, digests }
     }
 
-    /// Replaces `host`'s contribution: its pod's digest retires the old
-    /// summary and admits the new one — the incremental half of the
-    /// rebuild-equals-journal invariant.
-    pub(crate) fn update(&mut self, host: usize, old: &HostSummary, new: &HostSummary) {
-        let d = &mut self.digests[self.host_pod[host] as usize];
-        d.retire(old.free, old.nic_mbps);
-        d.admit(new.free, new.nic_mbps);
+    /// Replaces `host`'s contribution: its pod's digest retires the
+    /// `old` `(free, nic_mbps)` and admits the `new` one — the
+    /// incremental half of the rebuild-equals-journal invariant.
+    pub(crate) fn update(&mut self, host: HostId, old: (Resources, u64), new: (Resources, u64)) {
+        let d = &mut self.digests[self.layout.pods()[host.index()] as usize];
+        d.retire(old.0, old.1);
+        d.admit(new.0, new.1);
     }
 
     pub(crate) fn pod_count(&self) -> usize {
@@ -200,18 +148,22 @@ impl PodDigests {
     }
 
     pub(crate) fn contiguous(&self) -> bool {
-        self.contiguous
+        self.layout.pods_contiguous()
     }
 
     /// The contiguous host-index range of pod `p`.
     fn range(&self, p: usize) -> Range<usize> {
-        let r = &self.ranges[p];
-        r.start as usize..r.end as usize
+        self.layout.pod_range(p)
     }
 
     #[cfg(test)]
     pub(crate) fn digest(&self, p: usize) -> &PodDigest {
         &self.digests[p]
+    }
+
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> &Arc<FleetLayout> {
+        &self.layout
     }
 
     /// The coarse stage: pods whose digests plausibly admit
@@ -374,7 +326,7 @@ pub(crate) fn place_sharded(
     let digests = match session {
         Some(shared) => &shared.pods,
         None => {
-            built = PodDigests::from_state(infra, state);
+            built = PodDigests::from_state(Arc::new(FleetLayout::new(infra)), state);
             &built
         }
     };
@@ -533,7 +485,7 @@ mod tests {
     fn digests_from_state_match_generated_layout() {
         let infra = pod_infra(3, 2, 4);
         let state = CapacityState::new(&infra);
-        let digests = PodDigests::from_state(&infra, &state);
+        let digests = PodDigests::from_state(Arc::new(FleetLayout::new(&infra)), &state);
         assert_eq!(digests.pod_count(), 3);
         assert!(digests.contiguous());
         for p in 0..3 {
@@ -645,7 +597,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let digests = PodDigests::from_state(&infra, &state);
+        let digests = PodDigests::from_state(Arc::new(FleetLayout::new(&infra)), &state);
         let selected = digests.select(&Footprint::of(&app()), 1);
         assert_eq!(selected, vec![1]);
         let scheduler = Scheduler::new(&infra);

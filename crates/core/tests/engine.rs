@@ -132,14 +132,23 @@ fn requests_serialize_with_algorithm_tags() {
     assert!(json.contains("DeadlineBoundedAStar"));
 }
 
+/// A mis-sized pin slice is a typed error, not a panic — sharded or
+/// not (the length check runs before either path).
 #[test]
-#[should_panic(expected = "one pin slot per node")]
 fn pinned_slice_length_is_enforced() {
     let infra = infra();
     let topo = symmetric_star();
     let state = CapacityState::new(&infra);
     let scheduler = Scheduler::new(&infra);
-    let _ = scheduler.place_pinned(&topo, &state, &PlacementRequest::default(), &[None]);
+    for request in [PlacementRequest::default(), PlacementRequest::default().shard(true)] {
+        assert_eq!(
+            scheduler.place_pinned(&topo, &state, &request, &[None]),
+            Err(ostro_core::PlacementError::PriorLengthMismatch {
+                expected: topo.node_count(),
+                actual: 1
+            })
+        );
+    }
 }
 
 #[test]

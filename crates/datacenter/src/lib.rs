@@ -54,9 +54,9 @@ pub use builder::InfrastructureBuilder;
 pub use error::{BuildError, CapacityError};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{HostId, PodId, RackId, SiteId};
-pub use overlay::{OverlayMark, OverlayState};
+pub use overlay::{base_group_signature, OverlayMark, OverlayState};
 pub use path::{LinkRef, Separation};
 pub use spec::{HostSpec, InfraSpec, PodSpec, RackSpec, SiteSpec};
 pub use state::CapacityState;
 pub use structure::{Host, Infrastructure, Pod, Rack, Route, Site};
-pub use table::CapacityTable;
+pub use table::{CapacityTable, FleetLayout};

@@ -93,13 +93,30 @@ fn next_generation() -> u64 {
 /// splitmix64 finalizer: a cheap bijective scrambler for signature
 /// construction (group signatures must not collide between "host 3
 /// touched twice" and "host 6 touched once" style neighbors).
-/// Crate-visible so [`CapacityTable`](crate::CapacityTable) can build
-/// bit-identical signature columns.
-pub(crate) fn mix64(x: u64) -> u64 {
+fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Group signature of a host no overlay has touched (epoch 0): a pure
+/// function of its base availability, so every idle host with the same
+/// remaining capacity shares one signature. The one definition behind
+/// [`OverlayState::host_group_signature`], the
+/// [`CapacityTable`](crate::CapacityTable) signature column, and the
+/// session cache's candidate keys.
+#[must_use]
+pub fn base_group_signature(avail: Resources) -> u64 {
+    let a = mix64(u64::from(avail.vcpus));
+    let b = mix64(a ^ avail.memory_mb);
+    mix64(b ^ avail.disk_gb)
+}
+
+/// Group signature of an overlay-touched host (`epoch > 0`): its own
+/// group, keyed by `(host, epoch)`.
+pub(crate) fn touched_group_signature(host: HostId, epoch: u64) -> u64 {
+    mix64(mix64(u64::from(host.index() as u32) + 1) ^ epoch)
 }
 
 /// One journaled mutation, inverted on rollback. Crate-visible so
@@ -326,12 +343,9 @@ impl<'a> OverlayState<'a> {
     pub fn host_group_signature(&self, host: HostId) -> u64 {
         let epoch = self.host_epoch(host);
         if epoch > 0 {
-            mix64(mix64(u64::from(host.index() as u32) + 1) ^ epoch)
+            touched_group_signature(host, epoch)
         } else {
-            let avail = self.base.available(host);
-            let a = mix64(u64::from(avail.vcpus));
-            let b = mix64(a ^ avail.memory_mb);
-            mix64(b ^ avail.disk_gb)
+            base_group_signature(self.base.available(host))
         }
     }
 

@@ -34,17 +34,117 @@
 //! The group-signature column reproduces
 //! [`OverlayState::host_group_signature`] bit-for-bit so memo keys
 //! computed from the table match keys computed through the overlay.
+//!
+//! # What a clone copies
+//!
+//! Only the availability columns and the sync cursor can change after
+//! construction. Everything fixed by the infrastructure — rack/pod/site
+//! coordinates and the per-pod host ranges — lives in one
+//! [`FleetLayout`] behind an [`Arc`], so cloning a table (per snapshot,
+//! per batch, per request) shares it instead of copying it.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use ostro_model::{Bandwidth, Resources};
 
 use crate::ids::HostId;
-use crate::overlay::{mix64, OverlayOp, OverlayState};
+use crate::overlay::{base_group_signature, touched_group_signature, OverlayOp, OverlayState};
 use crate::path::LinkRef;
 use crate::state::CapacityState;
 use crate::structure::Infrastructure;
 
-/// Flat per-host columns of effective availability plus topology
-/// coordinates, synced to one [`OverlayState`] at a time.
+/// The per-host facts no commit can change: topology coordinates for
+/// dense proximity/diversity compares, and each pod's host-index
+/// range for pod-restricted sweeps.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FleetLayout {
+    rack: Vec<u32>,
+    pod: Vec<u32>,
+    site: Vec<u32>,
+    /// Per pod: the `[lo, hi)` host-index extent (empty for a pod
+    /// without hosts, meaningless when `pods_contiguous` is false).
+    pod_ranges: Vec<Range<u32>>,
+    pods_contiguous: bool,
+}
+
+impl FleetLayout {
+    /// Reads every host's location out of `infra`.
+    #[must_use]
+    pub fn new(infra: &Infrastructure) -> Self {
+        let n = infra.host_count();
+        let pod_count = infra.pods().len();
+        let mut layout = FleetLayout {
+            rack: Vec::with_capacity(n),
+            pod: Vec::with_capacity(n),
+            site: Vec::with_capacity(n),
+            pod_ranges: vec![0..0; pod_count],
+            pods_contiguous: true,
+        };
+        let mut hosts_in_pod = vec![0u32; pod_count];
+        for i in 0..n as u32 {
+            let (rack, pod, site) = infra.location(HostId::from_index(i));
+            layout.rack.push(rack.index() as u32);
+            layout.pod.push(pod.index() as u32);
+            layout.site.push(site.index() as u32);
+            // Hosts arrive in ascending index order, so a pod's extent
+            // starts at its first host and ends after its latest.
+            let p = pod.index();
+            if hosts_in_pod[p] == 0 {
+                layout.pod_ranges[p].start = i;
+            }
+            layout.pod_ranges[p].end = i + 1;
+            hosts_in_pod[p] += 1;
+        }
+        layout.pods_contiguous =
+            layout.pod_ranges.iter().zip(&hosts_in_pod).all(|(r, &count)| r.end - r.start == count);
+        layout
+    }
+
+    /// Rack index per host.
+    #[must_use]
+    pub fn racks(&self) -> &[u32] {
+        &self.rack
+    }
+
+    /// Pod index per host.
+    #[must_use]
+    pub fn pods(&self) -> &[u32] {
+        &self.pod
+    }
+
+    /// Site index per host.
+    #[must_use]
+    pub fn sites(&self) -> &[u32] {
+        &self.site
+    }
+
+    /// Number of pods.
+    #[must_use]
+    pub fn pod_count(&self) -> usize {
+        self.pod_ranges.len()
+    }
+
+    /// The host-index range of pod `p`; exactly the pod's hosts when
+    /// [`pods_contiguous`](Self::pods_contiguous) holds.
+    #[must_use]
+    pub fn pod_range(&self, p: usize) -> Range<usize> {
+        let r = &self.pod_ranges[p];
+        r.start as usize..r.end as usize
+    }
+
+    /// Whether every pod's hosts occupy one contiguous id range — the
+    /// precondition for restricting a sweep to a pod by host range.
+    /// Builders emit hosts pod-by-pod so this holds for every generated
+    /// fleet; a hand-built interleaved layout does not.
+    #[must_use]
+    pub fn pods_contiguous(&self) -> bool {
+        self.pods_contiguous
+    }
+}
+
+/// Flat per-host columns of effective availability plus the shared
+/// [`FleetLayout`], synced to one [`OverlayState`] at a time.
 #[derive(Debug, Clone)]
 pub struct CapacityTable {
     // Effective availability: base minus overlay usage, saturating.
@@ -58,10 +158,7 @@ pub struct CapacityTable {
     group_sig: Vec<u64>,
     /// `true` where the host runs nodes in base state or overlay.
     active: Vec<u8>,
-    // Topology coordinates, for dense proximity/diversity compares.
-    rack: Vec<u32>,
-    pod: Vec<u32>,
-    site: Vec<u32>,
+    layout: Arc<FleetLayout>,
     /// Hosts whose columns deviate from the base state (plus possibly
     /// some that deviated earlier; cleared lazily on rebuild).
     touched: Vec<u32>,
@@ -87,9 +184,7 @@ impl CapacityTable {
             epoch: vec![0; n],
             group_sig: vec![0; n],
             active: vec![0; n],
-            rack: Vec::with_capacity(n),
-            pod: Vec::with_capacity(n),
-            site: Vec::with_capacity(n),
+            layout: Arc::new(FleetLayout::new(infra)),
             touched: Vec::new(),
             touched_flag: vec![false; n],
             generation: 0,
@@ -97,14 +192,16 @@ impl CapacityTable {
             journal_len: 0,
         };
         for i in 0..n {
-            let host = HostId::from_index(i as u32);
-            let (rack, pod, site) = infra.location(host);
-            table.rack.push(rack.index() as u32);
-            table.pod.push(pod.index() as u32);
-            table.site.push(site.index() as u32);
             table.load_base(base, i);
         }
         table
+    }
+
+    /// The construction-time layout this table (and every clone of it)
+    /// shares.
+    #[must_use]
+    pub fn layout(&self) -> &Arc<FleetLayout> {
+        &self.layout
     }
 
     /// Rewrites one host's columns from the base state.
@@ -277,19 +374,19 @@ impl CapacityTable {
     /// Rack index per host.
     #[must_use]
     pub fn racks(&self) -> &[u32] {
-        &self.rack
+        self.layout.racks()
     }
 
     /// Pod index per host.
     #[must_use]
     pub fn pods(&self) -> &[u32] {
-        &self.pod
+        self.layout.pods()
     }
 
     /// Site index per host.
     #[must_use]
     pub fn sites(&self) -> &[u32] {
-        &self.site
+        self.layout.sites()
     }
 
     /// Effective availability of one host as a [`Resources`] bundle.
@@ -304,20 +401,6 @@ impl CapacityTable {
     pub fn nic_available(&self, host: HostId) -> Bandwidth {
         Bandwidth::from_mbps(self.nic_mbps[host.index()])
     }
-}
-
-/// Epoch-0 group signature: the base-availability chain from
-/// [`OverlayState::host_group_signature`].
-fn base_group_signature(avail: Resources) -> u64 {
-    let a = mix64(u64::from(avail.vcpus));
-    let b = mix64(a ^ avail.memory_mb);
-    mix64(b ^ avail.disk_gb)
-}
-
-/// Touched-host group signature (`epoch > 0`), mirroring
-/// [`OverlayState::host_group_signature`].
-fn touched_group_signature(host: HostId, epoch: u64) -> u64 {
-    mix64(mix64(u64::from(host.index() as u32) + 1) ^ epoch)
 }
 
 #[cfg(test)]
@@ -374,6 +457,39 @@ mod tests {
         let table = CapacityTable::new(&infra, &base);
         let ov = OverlayState::new(&infra, &base);
         assert_matches_overlay(&table, &infra, &ov);
+    }
+
+    /// Pod ranges are exact for builder-ordered fleets and flagged
+    /// unusable when two pods' hosts interleave.
+    #[test]
+    fn layout_ranges_cover_pods_and_flag_interleaving() {
+        let build = |order: &[usize]| {
+            let mut b = InfrastructureBuilder::new();
+            let site = b.site("dc", Bandwidth::from_gbps(400));
+            let racks: Vec<_> = (0..2)
+                .map(|p| {
+                    let pod = b.pod(site, format!("p{p}"), Bandwidth::from_gbps(200)).unwrap();
+                    b.rack_in_pod(pod, format!("p{p}r0"), Bandwidth::from_gbps(100)).unwrap()
+                })
+                .collect();
+            for (i, &p) in order.iter().enumerate() {
+                b.host(
+                    racks[p],
+                    format!("h{i}"),
+                    Resources::new(8, 8_192, 100),
+                    Bandwidth::from_gbps(10),
+                )
+                .unwrap();
+            }
+            FleetLayout::new(&b.build().unwrap())
+        };
+        let ordered = build(&[0, 0, 1, 1, 1]);
+        assert!(ordered.pods_contiguous());
+        assert_eq!(ordered.pod_count(), 2);
+        assert_eq!(ordered.pod_range(0), 0..2);
+        assert_eq!(ordered.pod_range(1), 2..5);
+        assert_eq!(ordered.pods(), &[0, 0, 1, 1, 1]);
+        assert!(!build(&[0, 1, 0, 1]).pods_contiguous());
     }
 
     #[test]

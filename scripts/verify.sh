@@ -9,13 +9,6 @@ cargo test -q
 cargo test --workspace -q
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
-# Fast throughput smoke (64 hosts): asserts the artifact is well-formed
-# JSON and that memoized scoring is no slower than the cold baseline.
-cargo bench -p ostro-bench --bench throughput -- --smoke
-# Stream smoke (64 hosts): warm SchedulerSession vs cold per-request
-# scheduler over a sustained arrival/departure stream; asserts every
-# event's decision bit-identical and the warm engine no slower.
-cargo bench -p ostro-bench --bench stream -- --smoke
 # Kernel smoke (64 hosts) twice — scalar build, then the explicit
 # `simd` intrinsics build — asserting the seeded EG/BA*/DBA* decision
 # digest is identical: vectorized candidate filtering must never
@@ -85,13 +78,6 @@ strip_restart_fields() {
 }
 diff <(strip_restart_fields "$tmp/crash.json") \
      <(strip_restart_fields "$tmp/churn1.json")
-# Concurrent service smoke (64 hosts): plans batches against epoch-
-# stamped snapshots, commits optimistically, asserts the commit-order
-# replay reproduces the final books exactly, and runs a crash drill.
-# (Regenerating the full artifact — `cargo bench -p ostro-bench
-# --bench service` — additionally fails on a >10% req/s regression
-# against the checked-in BENCH_service.json on a comparable box.)
-cargo bench -p ostro-bench --bench service -- --smoke
 # Chaos smoke (small fleet): a burst-overload drill (bounded queue +
 # deadline budgets, baseline vs degrade ladder) and a seeded WAL/panic
 # fault storm under DurabilityPolicy::Reject — asserts every arrival
@@ -158,4 +144,13 @@ cargo run -q --release -p ostro-cli -- place --infra "$tmp/infra.json" \
 cargo run -q --release -p ostro-cli -- recover --infra "$tmp/infra.json" \
   --wal-dir "$tmp/wal-place" > "$tmp/recover.json"
 grep -q '"records_replayed"' "$tmp/recover.json"
+# The end-to-end benchmark's own unit tests, then its smoke run
+# (<= 64 hosts, <= 64 arrivals, every check: commit-order replay,
+# verify_placement on every commit, recovered ≡ live, same-seed and
+# traced ≡ untraced digests). `e2e/` is a package of its own, so it
+# builds into its own target directory.
+CARGO_TARGET_DIR=target/e2e cargo test --offline -q --manifest-path e2e/Cargo.toml
+CARGO_TARGET_DIR=target/e2e cargo run --release --offline --quiet \
+  --manifest-path e2e/Cargo.toml -- --smoke | tee "$tmp/e2e-smoke.txt"
+test "$(tail -n 1 "$tmp/e2e-smoke.txt")" = "e2e: all checks passed"
 echo "verify: all checks passed"
