@@ -63,7 +63,7 @@ const FULL: Fleet = Fleet {
 const SMOKE: Fleet =
     Fleet { pods: 4, racks_per_pod: 2, hosts_per_rack: 8, arrivals: 72, maintenance_ticks: 24 };
 
-const SEED: u64 = 0xDEF4_A6_5EED;
+const SEED: u64 = 0x00DE_F4A6_5EED;
 
 fn build_fleet(f: &Fleet) -> (Infrastructure, CapacityState) {
     // Uniform availability: the decay, not pre-existing load, should

@@ -1491,7 +1491,7 @@ fn unit(x: u64) -> f64 {
 /// Seeded tenant family for `maintain`: short chains with linked
 /// demands, derived from the splitmix mixer so the CLI needs no RNG.
 fn maintenance_tenant(seed: u64, id: u64) -> ApplicationTopology {
-    let h = mix64(seed ^ mix64(id ^ 0x7E4A_47));
+    let h = mix64(seed ^ mix64(id ^ 0x007E_4A47));
     let vms = 2 + (h % 3) as usize;
     let mut b = TopologyBuilder::new(format!("t{id}"));
     let mut prev = None;

@@ -32,6 +32,7 @@ use ostro_datacenter::{CapacityState, HostId};
 use ostro_model::{ApplicationTopology, NodeId};
 use serde::{Deserialize, Serialize};
 
+use crate::effects::{self, Effect};
 use crate::error::PlacementError;
 use crate::online::OnlineOutcome;
 use crate::placement::Placement;
@@ -276,6 +277,24 @@ impl<'a> Scheduler<'a> {
         best_effort: &[bool],
         probe: &mut dyn FaultProbe,
     ) -> Result<DeploymentReport, DeployError> {
+        self.deploy_on(topology, decided, state, &mut [], request, policy, best_effort, probe)
+    }
+
+    /// [`deploy`](Self::deploy) against books with a quarantine set:
+    /// the session's entry point, so a launch onto a quarantined host
+    /// fails live exactly as the journaled net record would on replay.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn deploy_on(
+        &self,
+        topology: &ApplicationTopology,
+        decided: &Placement,
+        state: &mut CapacityState,
+        quarantined: &mut [bool],
+        request: &PlacementRequest,
+        policy: &DeployPolicy,
+        best_effort: &[bool],
+        probe: &mut dyn FaultProbe,
+    ) -> Result<DeploymentReport, DeployError> {
         let n = topology.node_count();
         if decided.assignments().len() != n {
             return Err(DeployError::SizeMismatch {
@@ -322,12 +341,13 @@ impl<'a> Scheduler<'a> {
                         report.ticks += policy.backoff_ticks(host_attempts);
                     }
                     LaunchVerdict::Launched => {
-                        match commit_node(self, topology, state, &committed, node, host) {
+                        let launch = node_effects(topology, &committed, node, host);
+                        match effects::apply(self.infrastructure(), state, quarantined, &launch) {
                             Ok(()) => {
                                 committed[i] = Some(host);
                                 break PlacementError::Exhausted; // sentinel, unused
                             }
-                            Err(capacity) => break capacity,
+                            Err(capacity) => break capacity.into(),
                         }
                     }
                 }
@@ -344,6 +364,7 @@ impl<'a> Scheduler<'a> {
                 self.deploy_fallback(
                     topology,
                     state,
+                    quarantined,
                     request,
                     policy,
                     &excluded,
@@ -414,6 +435,7 @@ impl<'a> Scheduler<'a> {
         &self,
         topology: &ApplicationTopology,
         state: &mut CapacityState,
+        quarantined: &mut [bool],
         request: &PlacementRequest,
         policy: &DeployPolicy,
         excluded: &[HostId],
@@ -426,7 +448,7 @@ impl<'a> Scheduler<'a> {
         // our own partial commit from a scratch copy, then blank out the
         // excluded hosts so no candidate lands there.
         let mut scratch = state.clone();
-        release_partial_into(self, topology, committed, &mut scratch)?;
+        self.release_partial(topology, committed, &mut scratch)?;
         for &h in excluded {
             scratch.quarantine_host(h);
         }
@@ -439,8 +461,11 @@ impl<'a> Scheduler<'a> {
             let new_host = online.outcome.placement.host_of(nd.id());
             if let Some(old) = committed[i] {
                 if old != new_host {
-                    release_node_from(self, topology, committed, nd.id(), state)?;
+                    // Take the node back off: the inverse of launching
+                    // it next to the peers that still count as committed.
                     committed[i] = None;
+                    let back = effects::inverted(&node_effects(topology, committed, nd.id(), old));
+                    effects::apply(self.infrastructure(), state, quarantined, &back)?;
                     report.repositioned += 1;
                 }
             }
@@ -492,34 +517,6 @@ impl<'a> Scheduler<'a> {
         let online = self.replace_online(topology, state, request, &prior, max_rounds)?;
         Ok(EvacuationOutcome { online, dead })
     }
-
-    /// Releases the committed subset of a partial assignment: every
-    /// node with a host, and every link whose endpoints both have one.
-    ///
-    /// All-or-nothing: on error the state is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`PlacementError::SizeMismatch`] or a wrapped
-    /// [`CapacityError`](ostro_datacenter::CapacityError) on any
-    /// release underflow.
-    pub fn release_partial(
-        &self,
-        topology: &ApplicationTopology,
-        assignment: &[Option<HostId>],
-        state: &mut CapacityState,
-    ) -> Result<(), PlacementError> {
-        if assignment.len() != topology.node_count() {
-            return Err(PlacementError::SizeMismatch {
-                expected: topology.node_count(),
-                actual: assignment.len(),
-            });
-        }
-        let mut trial = state.clone();
-        release_partial_into(self, topology, assignment, &mut trial)?;
-        *state = trial;
-        Ok(())
-    }
 }
 
 /// First node that is neither committed nor dropped, in id order.
@@ -527,75 +524,22 @@ fn next_pending(committed: &[Option<HostId>], dropped: &[bool]) -> Option<usize>
     committed.iter().zip(dropped).position(|(c, &d)| c.is_none() && !d)
 }
 
-/// Reserves one node and its flows toward already-committed neighbors,
-/// atomically (the state is untouched on error).
-fn commit_node(
-    scheduler: &Scheduler<'_>,
+/// What launching `node` on `host` reserves: the node, then its flows
+/// toward the neighbors already committed.
+fn node_effects(
     topology: &ApplicationTopology,
-    state: &mut CapacityState,
     committed: &[Option<HostId>],
     node: NodeId,
     host: HostId,
-) -> Result<(), PlacementError> {
-    let infra = scheduler.infrastructure();
-    let mut trial = state.clone();
-    trial.reserve_node(host, topology.node(node).requirements())?;
+) -> Vec<Effect> {
+    let mut effects =
+        vec![Effect::ReserveNode { host, resources: topology.node(node).requirements() }];
     for &(peer, bandwidth) in topology.neighbors(node) {
         if let Some(peer_host) = committed[peer.index()] {
-            trial.reserve_flow(infra, host, peer_host, bandwidth)?;
+            effects.push(Effect::ReserveFlow { a: host, b: peer_host, mbps: bandwidth.as_mbps() });
         }
     }
-    *state = trial;
-    Ok(())
-}
-
-/// Releases one committed node and its flows toward peers that are
-/// still marked committed. Used when a fallback repositions a node.
-fn release_node_from(
-    scheduler: &Scheduler<'_>,
-    topology: &ApplicationTopology,
-    committed: &[Option<HostId>],
-    node: NodeId,
-    state: &mut CapacityState,
-) -> Result<(), PlacementError> {
-    let infra = scheduler.infrastructure();
-    let host = committed[node.index()].ok_or(PlacementError::IncompleteAssignment)?;
-    let mut trial = state.clone();
-    trial.release_node(infra, host, topology.node(node).requirements())?;
-    for &(peer, bandwidth) in topology.neighbors(node) {
-        if peer == node {
-            continue;
-        }
-        if let Some(peer_host) = committed[peer.index()] {
-            trial.release_flow(infra, host, peer_host, bandwidth)?;
-        }
-    }
-    *state = trial;
-    Ok(())
-}
-
-/// Releases every committed node and fully committed link of a partial
-/// assignment directly into `state` (no trial copy; callers provide
-/// their own atomicity).
-fn release_partial_into(
-    scheduler: &Scheduler<'_>,
-    topology: &ApplicationTopology,
-    assignment: &[Option<HostId>],
-    state: &mut CapacityState,
-) -> Result<(), PlacementError> {
-    let infra = scheduler.infrastructure();
-    for nd in topology.nodes() {
-        if let Some(host) = assignment[nd.id().index()] {
-            state.release_node(infra, host, nd.requirements())?;
-        }
-    }
-    for link in topology.links() {
-        let (a, b) = link.endpoints();
-        if let (Some(ha), Some(hb)) = (assignment[a.index()], assignment[b.index()]) {
-            state.release_flow(infra, ha, hb, link.bandwidth())?;
-        }
-    }
-    Ok(())
+    effects
 }
 
 #[cfg(test)]

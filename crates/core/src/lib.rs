@@ -64,6 +64,7 @@ mod candidates;
 mod deadline;
 mod defrag;
 mod deploy;
+mod effects;
 mod error;
 mod greedy;
 mod health;

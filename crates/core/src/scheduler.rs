@@ -1,6 +1,7 @@
 //! The public facade: one [`Scheduler`] per infrastructure, dispatching
-//! placement requests to the five algorithms and applying decisions to
-//! live capacity state.
+//! placement requests to the five algorithms. Planning is a pure
+//! function of the books it is handed; applying a decision is the
+//! decision's effect list through the one apply in `effects.rs`.
 
 use std::time::Instant;
 
@@ -10,6 +11,7 @@ use ostro_model::{ApplicationTopology, Bandwidth};
 use crate::astar::run_bastar;
 use crate::baselines::{run_egbw, run_egc};
 use crate::deadline::run_dbastar;
+use crate::effects;
 use crate::error::PlacementError;
 use crate::greedy::{pinned_root, run_eg};
 use crate::placement::{Placement, PlacementOutcome, SearchStats};
@@ -162,7 +164,8 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Applies a placement decision to live capacity state, reserving
-    /// every node's resources and every link's bandwidth.
+    /// every node's resources and every link's bandwidth
+    /// ([`commit_effects`](crate::wal::commit_effects)).
     ///
     /// All-or-nothing: on error the state is left untouched.
     ///
@@ -177,30 +180,13 @@ impl<'a> Scheduler<'a> {
         placement: &Placement,
         state: &mut CapacityState,
     ) -> Result<(), PlacementError> {
-        if placement.assignments().len() != topology.node_count() {
-            return Err(PlacementError::SizeMismatch {
-                expected: topology.node_count(),
-                actual: placement.assignments().len(),
-            });
-        }
-        let mut trial = state.clone();
-        for node in topology.nodes() {
-            trial.reserve_node(placement.host_of(node.id()), node.requirements())?;
-        }
-        for link in topology.links() {
-            let (a, b) = link.endpoints();
-            trial.reserve_flow(
-                self.infra,
-                placement.host_of(a),
-                placement.host_of(b),
-                link.bandwidth(),
-            )?;
-        }
-        *state = trial;
-        Ok(())
+        effects::covers(topology, placement.assignments().len())?;
+        let commit = effects::commit_effects(topology, placement);
+        Ok(effects::apply(self.infra, state, &mut [], &commit)?)
     }
 
-    /// Releases a previously committed placement from live state.
+    /// Releases a previously committed placement from live state
+    /// ([`release_effects`](crate::wal::release_effects)).
     ///
     /// All-or-nothing: on error the state is left untouched.
     ///
@@ -215,27 +201,31 @@ impl<'a> Scheduler<'a> {
         placement: &Placement,
         state: &mut CapacityState,
     ) -> Result<(), PlacementError> {
-        if placement.assignments().len() != topology.node_count() {
-            return Err(PlacementError::SizeMismatch {
-                expected: topology.node_count(),
-                actual: placement.assignments().len(),
-            });
-        }
-        let mut trial = state.clone();
-        for node in topology.nodes() {
-            trial.release_node(self.infra, placement.host_of(node.id()), node.requirements())?;
-        }
-        for link in topology.links() {
-            let (a, b) = link.endpoints();
-            trial.release_flow(
-                self.infra,
-                placement.host_of(a),
-                placement.host_of(b),
-                link.bandwidth(),
-            )?;
-        }
-        *state = trial;
-        Ok(())
+        effects::covers(topology, placement.assignments().len())?;
+        let release = effects::release_effects(topology, placement);
+        Ok(effects::apply(self.infra, state, &mut [], &release)?)
+    }
+
+    /// Releases the committed subset of a partial assignment: every
+    /// node with a host, and every link whose endpoints both have one
+    /// ([`release_partial_effects`](crate::wal::release_partial_effects)).
+    ///
+    /// All-or-nothing: on error the state is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::SizeMismatch`] or a wrapped
+    /// [`CapacityError`](ostro_datacenter::CapacityError) on any
+    /// release underflow.
+    pub fn release_partial(
+        &self,
+        topology: &ApplicationTopology,
+        assignment: &[Option<HostId>],
+        state: &mut CapacityState,
+    ) -> Result<(), PlacementError> {
+        effects::covers(topology, assignment.len())?;
+        let release = effects::release_partial_effects(topology, assignment);
+        Ok(effects::apply(self.infra, state, &mut [], &release)?)
     }
 }
 
@@ -343,33 +333,6 @@ mod tests {
         assert_eq!(state.total_reserved_bandwidth(&inf), outcome.reserved_bandwidth);
         scheduler.release(&topo, &outcome.placement, &mut state).unwrap();
         assert_eq!(state, snapshot);
-    }
-
-    #[test]
-    fn commit_is_atomic_on_failure() {
-        let inf = infra();
-        let topo = topology();
-        let mut state = CapacityState::new(&inf);
-        let scheduler = Scheduler::new(&inf);
-        // A placement that overloads host 0 on purpose.
-        let bogus = Placement::new(vec![HostId::from_index(0); 3]);
-        // web+db on one host violates nothing capacity-wise... fill it first.
-        state.reserve_node(HostId::from_index(0), Resources::new(7, 16_000, 450)).unwrap();
-        let before = state.clone();
-        assert!(scheduler.commit(&topo, &bogus, &mut state).is_err());
-        assert_eq!(state, before);
-    }
-
-    #[test]
-    fn release_of_uncommitted_placement_fails_atomically() {
-        let inf = infra();
-        let topo = topology();
-        let mut state = CapacityState::new(&inf);
-        let scheduler = Scheduler::new(&inf);
-        let bogus = Placement::new(vec![HostId::from_index(0); 3]);
-        let before = state.clone();
-        assert!(scheduler.release(&topo, &bogus, &mut state).is_err());
-        assert_eq!(state, before);
     }
 
     #[test]

@@ -43,11 +43,16 @@
 //! objective is off by at most what raced in ahead of it. The session's
 //! refresh epochs are the only per-host epochs in the system.
 //!
-//! One caveat: the commit re-validates *capacity*, not candidacy
-//! policy. The service exposes no quarantine entry point, so this
-//! cannot currently admit a decision onto a host some concurrent
-//! operation disqualified; if the service ever grows such an entry
-//! point, quarantine must join the check.
+//! The apply re-validates quarantine along with capacity: a decision
+//! landing on a host a maintenance tick froze after the snapshot is
+//! refused like any other that no longer fits.
+//!
+//! Everything that takes the commit lock — one optimistic commit, a
+//! serialized plan-and-commit, a release, a whole admission batch, a
+//! maintenance tick — is the same write transaction: lock, mark the
+//! journal, run the body, and if the sequence number moved, one
+//! group-commit fsync then one snapshot publication. Its undo log is
+//! the effect lists it applied ([`DurabilityPolicy::Reject`]).
 //!
 //! **Admission batching**: [`PlacementService::serve`] runs a planner
 //! pool behind a FIFO queue. Each planner pops up to
@@ -82,8 +87,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use ostro_datacenter::{CapacityState, HostId, Infrastructure};
 use ostro_model::ApplicationTopology;
@@ -97,7 +102,7 @@ use crate::pool::lock_unpoisoned;
 use crate::request::PlacementRequest;
 use crate::scheduler::Scheduler;
 use crate::session::{SchedulerSession, SessionShared};
-use crate::wal::WalMark;
+use crate::wal::{self, Effect, WalMark};
 
 /// Tuning for a [`PlacementService`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,12 +156,6 @@ pub struct ServiceConfig {
     /// landed and just the fsync failed).
     #[serde(default)]
     pub wal_retries: u32,
-    /// With [`DurabilityPolicy::Reject`]: base backoff between fsync
-    /// retries in milliseconds, doubling per attempt and capped at 8×.
-    /// `0` (the default) retries immediately — what deterministic
-    /// tests and the virtual-clock chaos drills use.
-    #[serde(default)]
-    pub wal_backoff_ms: u64,
 }
 
 impl Default for ServiceConfig {
@@ -172,7 +171,6 @@ impl Default for ServiceConfig {
             degrade: DegradePolicy::default(),
             wal_policy: DurabilityPolicy::default(),
             wal_retries: 0,
-            wal_backoff_ms: 0,
         }
     }
 }
@@ -225,11 +223,11 @@ pub enum DurabilityPolicy {
     /// to the fault.
     #[default]
     Degrade,
-    /// Never acknowledge what is not durable: retry the fsync with
-    /// bounded, capped backoff ([`ServiceConfig::wal_retries`] /
-    /// [`ServiceConfig::wal_backoff_ms`]); if the journal still cannot
-    /// be completed, roll the books back, rewind the journal to the
-    /// pre-batch mark, and fail every acknowledgement of the batch
+    /// Never acknowledge what is not durable: retry the fsync up to
+    /// [`ServiceConfig::wal_retries`] times; if the journal still
+    /// cannot be completed, undo the transaction's effect lists off the
+    /// books, rewind the journal to the mark taken when the commit lock
+    /// was acquired, and fail every acknowledgement of the transaction
     /// with [`PlacementError::Durability`]. The journal heals in
     /// place, so the service keeps serving once the disk recovers.
     Reject,
@@ -388,7 +386,8 @@ pub struct ServiceStats {
     pub wal_retry_syncs: u64,
     /// Acknowledgements delivered *non-durably* after a WAL failure
     /// under [`DurabilityPolicy::Degrade`] (or when a rewind was
-    /// impossible).
+    /// impossible); a maintenance tick whose group commit faulted
+    /// counts as one.
     #[serde(default)]
     pub non_durable_acks: u64,
     /// Acknowledgements converted to [`PlacementError::Durability`]
@@ -436,24 +435,58 @@ impl Authority<'_> {
         planned.hosts.iter().copied().find(|&h| self.session.changed_since(h, seen[h.index()]))
     }
 
-    fn apply_commit(
+    /// Drains the session's dirty hosts into its mirror and copies the
+    /// books and the mirror into a fresh snapshot.
+    fn capture(&mut self) -> Arc<PlanSnapshot> {
+        self.session.refresh();
+        Arc::new(PlanSnapshot {
+            seq: self.seq,
+            state: self.session.state().clone(),
+            shared: self.session.shared().clone_for_snapshot(),
+        })
+    }
+}
+
+/// One open write transaction (see [`PlacementService::write`]): the
+/// commit lock, where the journal and the sequence number stood when it
+/// was taken, and — under [`DurabilityPolicy::Reject`] — the effect
+/// list of every mutation applied since, which is all a rollback needs.
+struct Txn<'g, 'a> {
+    authority: MutexGuard<'g, Authority<'a>>,
+    mark: Option<WalMark>,
+    base_seq: u64,
+    policy: DurabilityPolicy,
+    undo_log: Vec<Vec<Effect>>,
+}
+
+impl Txn<'_, '_> {
+    fn commit(
         &mut self,
         topology: &ApplicationTopology,
         placement: &Placement,
     ) -> Result<u64, PlacementError> {
-        self.session.commit(topology, placement)?;
-        self.seq += 1;
-        Ok(self.seq)
+        self.authority.session.commit(topology, placement)?;
+        Ok(self.applied(|| wal::commit_effects(topology, placement)))
     }
 
-    fn apply_release(
+    fn release(
         &mut self,
         topology: &ApplicationTopology,
         placement: &Placement,
     ) -> Result<u64, PlacementError> {
-        self.session.release(topology, placement)?;
-        self.seq += 1;
-        Ok(self.seq)
+        self.authority.session.release(topology, placement)?;
+        Ok(self.applied(|| wal::release_effects(topology, placement)))
+    }
+
+    /// Books one applied mutation: its effect list joins the undo log
+    /// when the transaction may have to be taken back, and it takes the
+    /// next commit sequence number.
+    fn applied(&mut self, effects: impl FnOnce() -> Vec<Effect>) -> u64 {
+        if self.policy == DurabilityPolicy::Reject {
+            self.undo_log.push(effects());
+        }
+        self.authority.seq += 1;
+        self.authority.seq
     }
 }
 
@@ -580,17 +613,13 @@ impl<'a> PlacementService<'a> {
     /// Wraps `session` in the service. The session's pending dirty
     /// hosts are drained and the initial snapshot published.
     #[must_use]
-    pub fn new(mut session: SchedulerSession<'a>, config: ServiceConfig) -> Self {
-        session.refresh();
+    pub fn new(session: SchedulerSession<'a>, config: ServiceConfig) -> Self {
         let infra = session.infrastructure();
-        let snapshot = Arc::new(PlanSnapshot {
-            seq: 0,
-            state: session.state().clone(),
-            shared: session.shared().clone_for_snapshot(),
-        });
+        let mut authority = Authority { session, seq: 0 };
+        let snapshot = authority.capture();
         PlacementService {
             infra,
-            authority: Mutex::new(Authority { session, seq: 0 }),
+            authority: Mutex::new(authority),
             snapshot: Mutex::new(snapshot),
             stats: Mutex::new(ServiceStats::default()),
             config,
@@ -764,16 +793,16 @@ impl<'a> PlacementService<'a> {
         queue_depth: usize,
     ) -> MaintenanceTick {
         let load = MaintenanceLoad { queue_depth, degrade_level: self.degrade_level() };
-        let mut authority = lock_unpoisoned(&self.authority);
-        let report = plane.tick(&mut authority.session, ledger, tick, load);
-        if !authority.session.pending_dirty_hosts().is_empty() {
-            authority.seq += 1;
-            self.publish_locked(&mut authority);
-            if self.config.durable_acks {
-                authority.session.sync_wal();
-                self.note(|st| st.wal_syncs += 1);
+        // A tick has no acknowledgement to revoke (the plane and the
+        // caller's ledger have already moved with the books), so its
+        // transaction never rolls back, whatever the configured policy.
+        let (report, _) = self.write(DurabilityPolicy::Degrade, |txn| {
+            let report = plane.tick(&mut txn.authority.session, ledger, tick, load);
+            if !txn.authority.session.pending_dirty_hosts().is_empty() {
+                txn.authority.seq += 1;
             }
-        }
+            report
+        });
         self.note(|st| {
             st.maintenance_ticks += 1;
             st.maintenance_migrations += u64::from(report.migrations);
@@ -784,96 +813,88 @@ impl<'a> PlacementService<'a> {
         report
     }
 
-    /// Re-captures the snapshot from the authority's current books.
-    /// Called with the lock held, after every mutating acquisition.
+    /// The one write transaction. Takes the commit lock, marks the
+    /// journal, and runs `body`, which mutates the books through the
+    /// [`Txn`]. If the sequence number moved, the transaction then
+    /// group-commits — one WAL fsync for everything `body` journaled,
+    /// with `policy` deciding what a WAL failure does — and publishes
+    /// one fresh snapshot, before the lock is released. Sync comes
+    /// *before* publish: if the Reject policy takes the transaction
+    /// back, readers never see the undone books.
+    ///
+    /// Returns `body`'s result and, when the transaction was rolled
+    /// back, the typed error the caller must convert its would-be
+    /// acknowledgements into.
+    fn write<R>(
+        &self,
+        policy: DurabilityPolicy,
+        body: impl FnOnce(&mut Txn<'_, 'a>) -> R,
+    ) -> (R, Option<PlacementError>) {
+        let authority = lock_unpoisoned(&self.authority);
+        let mark = authority.session.wal_mark();
+        let mut txn =
+            Txn { mark, base_seq: authority.seq, policy, undo_log: Vec::new(), authority };
+        let result = body(&mut txn);
+        let mut durability = None;
+        if txn.authority.seq != txn.base_seq {
+            durability = self.sync_locked(&mut txn);
+            self.publish_locked(&mut txn.authority);
+        }
+        (result, durability)
+    }
+
+    /// Publishes a snapshot of the authority's current books.
     fn publish_locked(&self, authority: &mut Authority<'a>) {
-        authority.session.refresh();
-        let snapshot = Arc::new(PlanSnapshot {
-            seq: authority.seq,
-            state: authority.session.state().clone(),
-            shared: authority.session.shared().clone_for_snapshot(),
-        });
-        *lock_unpoisoned(&self.snapshot) = snapshot;
+        *lock_unpoisoned(&self.snapshot) = authority.capture();
         self.note(|st| st.snapshots_published += 1);
     }
 
-    /// Group-commit point: fsync the WAL once for everything this lock
-    /// acquisition committed, before any response is delivered.
+    /// Group-commit point: fsync the WAL once for everything the
+    /// transaction journaled, before any response is delivered.
     ///
-    /// `mark` is the journal position captured when the lock was
-    /// acquired (before the first append), `applied` how many
-    /// mutations this acquisition performed, and `undo` a books-only
-    /// rollback of those mutations in reverse order. On a WAL failure
-    /// the [`DurabilityPolicy`] decides: `Degrade` keeps the
-    /// acknowledgements (counted non-durable; the latched error stays
-    /// loud via [`SchedulerSession::take_wal_error`]); `Reject`
-    /// retries the fsync, then runs `undo`, rewinds the journal to
-    /// `mark`, and returns the typed error the caller must convert
-    /// this acquisition's acknowledgements into.
-    fn sync_locked(
-        &self,
-        authority: &mut Authority<'a>,
-        mark: Option<WalMark>,
-        applied: u64,
-        undo: impl FnOnce(&mut SchedulerSession<'a>),
-    ) -> Option<PlacementError> {
+    /// On a WAL failure the transaction's [`DurabilityPolicy`] decides:
+    /// `Degrade` keeps the acknowledgements (counted non-durable; the
+    /// latched error stays loud via
+    /// [`SchedulerSession::take_wal_error`]); `Reject` retries the
+    /// fsync, then takes the transaction back — its effect lists undone
+    /// off the books last first, the journal rewound to the mark — and
+    /// returns the typed error.
+    fn sync_locked(&self, txn: &mut Txn<'_, 'a>) -> Option<PlacementError> {
         if !self.config.durable_acks {
             return None;
         }
-        authority.session.sync_wal();
+        let applied = txn.authority.seq - txn.base_seq;
+        let session = &mut txn.authority.session;
+        // A failed append latches the error and stops journaling, so a
+        // clean latch here means every record of the transaction landed.
+        let appended = session.wal_error().is_none();
+        session.sync_wal();
         self.note(|st| st.wal_syncs += 1);
-        authority.session.wal_error()?;
+        session.wal_error()?;
         self.note(|st| st.wal_faults += 1);
-        match self.config.wal_policy {
-            DurabilityPolicy::Degrade => {
-                self.note(|st| st.non_durable_acks += applied);
-                None
-            }
-            DurabilityPolicy::Reject => {
-                let mark = mark?;
-                // Retrying the fsync only helps when every append
-                // landed; a missing append means the journal cannot be
-                // completed, only rewound.
-                if authority.session.wal_seq() == Some(mark.seq() + applied) {
-                    for attempt in 0..self.config.wal_retries {
-                        self.backoff(attempt);
-                        self.note(|st| st.wal_retry_syncs += 1);
-                        if authority.session.retry_sync() {
-                            return None;
-                        }
+        if let (DurabilityPolicy::Reject, Some(mark)) = (txn.policy, txn.mark) {
+            // Retrying the fsync only helps when every append landed;
+            // a missing append means the journal cannot be completed,
+            // only rewound.
+            if appended {
+                for _ in 0..self.config.wal_retries {
+                    self.note(|st| st.wal_retry_syncs += 1);
+                    if session.retry_sync() {
+                        return None;
                     }
                 }
-                if !authority.session.wal_can_rewind(&mark) {
-                    // A snapshot compaction ran mid-batch, so part of
-                    // the batch is already durably in the snapshot —
-                    // rolling back would contradict durable state.
-                    // Degrade these acknowledgements instead.
-                    self.note(|st| st.non_durable_acks += applied);
-                    return None;
-                }
-                let reason = match authority.session.wal_error() {
-                    Some(e) => e.to_string(),
-                    None => "journal unavailable".to_string(),
-                };
-                // Books-only rollback: the fail-stop latch keeps these
-                // inverse mutations out of the journal; the rewind then
-                // erases the batch's records and clears the latch, so
-                // journal and books agree again and the service keeps
-                // serving durably once the disk recovers.
-                undo(&mut authority.session);
-                let _ = authority.session.wal_rewind(&mark);
-                self.note(|st| st.durability_rejections += applied);
-                Some(PlacementError::Durability { reason })
             }
+            let reason = session.wal_error().map_or_else(String::new, ToString::to_string);
+            if session.rollback(&mark, &txn.undo_log) {
+                self.note(|st| st.durability_rejections += applied);
+                return Some(PlacementError::Durability { reason });
+            }
+            // A snapshot compaction ran mid-transaction, so part of it
+            // is already durably in the snapshot — rolling back would
+            // contradict durable state. Degrade instead.
         }
-    }
-
-    /// Capped doubling backoff between fsync retries.
-    fn backoff(&self, attempt: u32) {
-        if self.config.wal_backoff_ms > 0 {
-            let factor = 1u64 << attempt.min(3);
-            std::thread::sleep(Duration::from_millis(self.config.wal_backoff_ms * factor));
-        }
+        self.note(|st| st.non_durable_acks += applied);
+        None
     }
 
     /// Forces the knobs concurrent planning requires: request-level
@@ -905,6 +926,27 @@ impl<'a> PlacementService<'a> {
         self.plan_against(topology, request, &snapshot.state, &snapshot.shared, snapshot)
     }
 
+    /// Runs one search (the plan hook first) with panics contained:
+    /// every lock on the shared path is taken through
+    /// `lock_unpoisoned`, so a panicking search (or hook) is surfaced
+    /// as a typed per-request error instead of poisoning the service.
+    fn contained(
+        &self,
+        topology: &ApplicationTopology,
+        search: impl FnOnce() -> Result<PlacementOutcome, PlacementError>,
+    ) -> Result<PlacementOutcome, PlacementError> {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &self.plan_hook {
+                hook.call(topology);
+            }
+            search()
+        }));
+        result.unwrap_or_else(|payload| {
+            self.note(|st| st.planner_panics += 1);
+            Err(PlacementError::PlannerPanic { reason: panic_reason(payload.as_ref()) })
+        })
+    }
+
     /// Plans against arbitrary (`state`, `shared`) books — the
     /// snapshot's own, or a batch's speculative view — stamping the
     /// result with `origin` for the staleness check.
@@ -922,14 +964,7 @@ impl<'a> PlacementService<'a> {
             cache.begin_request();
             cache.evictions()
         };
-        // Contain planner panics: every lock on the shared path is
-        // taken through `lock_unpoisoned`, so a panicking search (or
-        // hook) is surfaced as a typed per-request error instead of
-        // poisoning the service.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &self.plan_hook {
-                hook.call(topology);
-            }
+        let result = self.contained(topology, || {
             Scheduler::new(self.infra).place_pinned_with(
                 topology,
                 state,
@@ -937,14 +972,7 @@ impl<'a> PlacementService<'a> {
                 &vec![None; topology.node_count()],
                 Some(shared),
             )
-        }));
-        let result = match result {
-            Ok(r) => r,
-            Err(payload) => {
-                self.note(|st| st.planner_panics += 1);
-                Err(PlacementError::PlannerPanic { reason: panic_reason(payload.as_ref()) })
-            }
-        };
+        });
         let evictions_after = lock_unpoisoned(&shared.cache).evictions();
         let mut outcome = result?;
         outcome.stats.session_cache_evictions = evictions_after.saturating_sub(evictions_before);
@@ -964,22 +992,21 @@ impl<'a> PlacementService<'a> {
         Ok(PlannedPlacement { outcome, snapshot: Arc::clone(origin), hosts })
     }
 
-    /// Validate-commit under an already-held lock: the session's
+    /// Validate-commit inside an open transaction: the session's
     /// all-or-nothing commit applies the decision against the live
     /// books. A failure against books that moved since the plan's
     /// snapshot is a conflict; against unmoved books it is a genuine
     /// error.
-    fn validate_commit_locked(
-        &self,
-        authority: &mut Authority<'a>,
+    fn validate_commit(
+        txn: &mut Txn<'_, 'a>,
         topology: &ApplicationTopology,
         planned: &PlannedPlacement,
     ) -> Result<Validated, PlacementError> {
-        let stale = authority.stale_host(planned);
-        match authority.apply_commit(topology, &planned.outcome.placement) {
+        let stale = txn.authority.stale_host(planned);
+        match txn.commit(topology, &planned.outcome.placement) {
             Ok(seq) => Ok(Validated::Committed { seq, stale: stale.is_some() }),
             Err(e) => match stale.or(planned.hosts.first().copied()) {
-                Some(host) if authority.seq != planned.snapshot.seq => {
+                Some(host) if txn.authority.seq != planned.snapshot.seq => {
                     Ok(Validated::Conflict { host })
                 }
                 _ => Err(e),
@@ -1003,15 +1030,10 @@ impl<'a> PlacementService<'a> {
         topology: &ApplicationTopology,
         planned: &PlannedPlacement,
     ) -> Result<CommitAttempt, PlacementError> {
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        match self.validate_commit_locked(&mut authority, topology, planned)? {
+        let (validated, durability) =
+            self.write(self.config.wal_policy, |txn| Self::validate_commit(txn, topology, planned));
+        match validated? {
             Validated::Committed { seq, stale } => {
-                let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-                    let _ = session.release(topology, &planned.outcome.placement);
-                });
-                self.publish_locked(&mut authority);
-                drop(authority);
                 if let Some(err) = durability {
                     return Err(err);
                 }
@@ -1025,7 +1047,6 @@ impl<'a> PlacementService<'a> {
                 }))
             }
             Validated::Conflict { host } => {
-                drop(authority);
                 self.note(|st| st.commit_conflicts += 1);
                 Ok(CommitAttempt::Conflict { host })
             }
@@ -1044,35 +1065,16 @@ impl<'a> PlacementService<'a> {
     ) -> Result<ServiceOutcome, PlacementError> {
         let req = Self::planning_request(request);
         self.note(|st| st.serialized_fallbacks += 1);
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        // The serialized path plans on the same ladder as the
-        // optimistic one: a panicking search (or hook) must yield a
-        // typed error here too, or a sticky panic would sneak through
-        // the fallback.
-        let planned = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &self.plan_hook {
-                hook.call(topology);
-            }
-            authority.session.place(topology, &req)
-        }));
-        let planned = match planned {
-            Ok(r) => r,
-            Err(payload) => {
-                self.note(|st| st.planner_panics += 1);
-                Err(PlacementError::PlannerPanic { reason: panic_reason(payload.as_ref()) })
-            }
-        };
-        let result = planned.and_then(|outcome| {
-            authority.apply_commit(topology, &outcome.placement).map(|seq| (seq, outcome))
+        let (result, durability) = self.write(self.config.wal_policy, |txn| {
+            // A sticky panic must yield a typed error here too, or it
+            // would sneak through the fallback.
+            let planned = self.contained(topology, || txn.authority.session.place(topology, &req));
+            planned.and_then(|outcome| {
+                txn.commit(topology, &outcome.placement).map(|seq| (seq, outcome))
+            })
         });
         match result {
             Ok((seq, mut outcome)) => {
-                let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-                    let _ = session.release(topology, &outcome.placement);
-                });
-                self.publish_locked(&mut authority);
-                drop(authority);
                 if let Some(err) = durability {
                     return Err(err);
                 }
@@ -1082,7 +1084,6 @@ impl<'a> PlacementService<'a> {
                 Ok(ServiceOutcome { seq, outcome })
             }
             Err(e) => {
-                drop(authority);
                 self.note(|st| st.rejected += 1);
                 Err(e)
             }
@@ -1166,14 +1167,9 @@ impl<'a> PlacementService<'a> {
         topology: &ApplicationTopology,
         placement: &Placement,
     ) -> Result<u64, PlacementError> {
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        let seq = authority.apply_release(topology, placement)?;
-        let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-            let _ = session.commit(topology, placement);
-        });
-        self.publish_locked(&mut authority);
-        drop(authority);
+        let (seq, durability) =
+            self.write(self.config.wal_policy, |txn| txn.release(topology, placement));
+        let seq = seq?;
         if let Some(err) = durability {
             return Err(err);
         }
@@ -1359,7 +1355,7 @@ impl<'a> PlacementService<'a> {
             });
         }
 
-        // Phase 2: one commit-lock acquisition for the whole batch.
+        // Phase 2: one write transaction for the whole batch.
         let mut acks: Vec<(Arc<TicketInner>, ServiceResponse)> = Vec::new();
         #[allow(clippy::type_complexity)]
         let mut losers: Vec<(
@@ -1374,26 +1370,13 @@ impl<'a> PlacementService<'a> {
         let mut rejected = 0u64;
         let mut conflicts = 0u64;
         let mut stale = 0u64;
-        let mut durability = None;
-        {
-            let mut authority = lock_unpoisoned(&self.authority);
-            let mark = authority.session.wal_mark();
-            // Under the Reject policy every applied mutation records
-            // its inverse so a failed group-commit fsync can roll the
-            // whole batch back off the books.
-            let log_undo = matches!(self.config.wal_policy, DurabilityPolicy::Reject);
-            let mut undo_log: Vec<(Arc<ApplicationTopology>, Placement, bool)> = Vec::new();
-            let mut mutated = false;
+        let ((), durability) = self.write(self.config.wal_policy, |txn| {
             for member in members {
                 match member {
                     Member::Release { topology, placement, ticket } => {
-                        match authority.apply_release(&topology, &placement) {
+                        match txn.release(&topology, &placement) {
                             Ok(seq) => {
-                                mutated = true;
                                 released += 1;
-                                if log_undo {
-                                    undo_log.push((topology, placement, false));
-                                }
                                 acks.push((ticket, ServiceResponse::Released { seq }));
                             }
                             Err(e) => {
@@ -1403,39 +1386,29 @@ impl<'a> PlacementService<'a> {
                         }
                     }
                     Member::Place { topology, request, ticket, plan, degraded } => match plan {
-                        Ok(planned) => {
-                            match self.validate_commit_locked(&mut authority, &topology, &planned) {
-                                Ok(Validated::Committed { seq, stale: was_stale }) => {
-                                    stale += u64::from(was_stale);
-                                    mutated = true;
-                                    committed += 1;
-                                    if log_undo {
-                                        undo_log.push((
-                                            Arc::clone(&topology),
-                                            planned.outcome.placement.clone(),
-                                            true,
-                                        ));
-                                    }
-                                    let mut outcome = planned.outcome;
-                                    outcome.stats.commit_conflicts = 0;
-                                    outcome.stats.replans = 0;
-                                    acks.push((
-                                        ticket,
-                                        ServiceResponse::Placed(ServiceOutcome { seq, outcome }),
-                                    ));
-                                }
-                                Ok(Validated::Conflict { .. }) => {
-                                    conflicts += 1;
-                                    losers.push((topology, request, ticket, 1, degraded));
-                                }
-                                Err(e) => {
-                                    rejected += 1;
-                                    acks.push((ticket, ServiceResponse::Failed(e)));
-                                }
+                        Ok(planned) => match Self::validate_commit(txn, &topology, &planned) {
+                            Ok(Validated::Committed { seq, stale: was_stale }) => {
+                                stale += u64::from(was_stale);
+                                committed += 1;
+                                let mut outcome = planned.outcome;
+                                outcome.stats.commit_conflicts = 0;
+                                outcome.stats.replans = 0;
+                                acks.push((
+                                    ticket,
+                                    ServiceResponse::Placed(ServiceOutcome { seq, outcome }),
+                                ));
                             }
-                        }
+                            Ok(Validated::Conflict { .. }) => {
+                                conflicts += 1;
+                                losers.push((topology, request, ticket, 1, degraded));
+                            }
+                            Err(e) => {
+                                rejected += 1;
+                                acks.push((ticket, ServiceResponse::Failed(e)));
+                            }
+                        },
                         Err(e) => {
-                            if authority.seq == snapshot.seq {
+                            if txn.authority.seq == snapshot.seq {
                                 rejected += 1;
                                 acks.push((ticket, ServiceResponse::Failed(e)));
                             } else {
@@ -1445,22 +1418,7 @@ impl<'a> PlacementService<'a> {
                     },
                 }
             }
-            if mutated {
-                // Sync *before* publishing: if the Reject policy rolls
-                // the batch back, readers never see the undone books.
-                durability =
-                    self.sync_locked(&mut authority, mark, committed + released, |session| {
-                        for (topology, placement, was_commit) in undo_log.iter().rev() {
-                            if *was_commit {
-                                let _ = session.release(topology, placement);
-                            } else {
-                                let _ = session.commit(topology, placement);
-                            }
-                        }
-                    });
-                self.publish_locked(&mut authority);
-            }
-        }
+        });
         if let Some(err) = &durability {
             // The batch's mutations were rolled back — convert every
             // would-be ack into the typed durability rejection.
@@ -1709,6 +1667,7 @@ mod tests {
     use crate::wal::{self, Wal, WalFault, WalFaultHook, WalIoOp, WalOptions};
     use ostro_datacenter::InfrastructureBuilder;
     use ostro_model::{Bandwidth, Resources, TopologyBuilder};
+    use std::time::Duration;
 
     fn infra_flat(racks: usize, hosts: usize) -> Infrastructure {
         InfrastructureBuilder::flat(

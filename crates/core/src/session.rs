@@ -18,12 +18,16 @@
 //!
 //! Every mutation of the session's state (`commit`, `release`,
 //! `release_partial`, `deploy`, `evacuate`, `migrate`,
-//! `quarantine_host`, `reconcile`, raw node reservations) records the
-//! touched hosts in a *dirty-host journal*. The next placement drains
-//! the journal through `SessionShared::resync` — the only code that
-//! re-resolves a host from the books: the host's table row is
-//! rewritten, its pod digest retires the old row and admits the new
-//! one, and its *refresh epoch* advances. Untouched hosts keep their
+//! `quarantine_host`, `reconcile`, raw node reservations) is one
+//! [`Effect`] list through the session's single private `apply`: the
+//! list is applied to the books all-or-nothing by the same function
+//! WAL replay runs, the hosts it names are recorded in a *dirty-host
+//! journal*, and the same vector is appended to the write-ahead
+//! journal. The next placement drains the dirty-host journal through
+//! `SessionShared::resync` — the only code that re-resolves a host
+//! from the books: the host's table row is rewritten, its pod digest
+//! retires the old row and admits the new one, and its *refresh epoch*
+//! advances. Untouched hosts keep their
 //! rows and signatures byte-for-byte, so cache entries keyed on them
 //! stay hot. A host has changed since an observer last looked iff it
 //! is still in the journal or its refresh epoch moved
@@ -55,6 +59,7 @@ use ostro_datacenter::{
 use ostro_model::{ApplicationTopology, NodeId, Resources};
 
 use crate::deploy::{DeployError, DeployPolicy, DeploymentReport, EvacuationOutcome, FaultProbe};
+use crate::effects::{self, Effect};
 use crate::error::PlacementError;
 use crate::online::{replace_rounds, OnlineOutcome};
 use crate::placement::{Placement, PlacementOutcome};
@@ -63,7 +68,7 @@ use crate::reconcile::{Divergence, DivergenceKind, HostTruth, ReconcileReport, R
 use crate::request::PlacementRequest;
 use crate::scheduler::Scheduler;
 use crate::search::mix64;
-use crate::wal::{self, Effect, Recovery, Wal, WalError, WalMark, WalOp};
+use crate::wal::{Recovery, Wal, WalError, WalMark, WalOp};
 
 /// Entries kept per generation of the session cache; at ~24 bytes per
 /// entry the two live generations stay comfortably inside a few
@@ -314,10 +319,10 @@ pub struct SchedulerSession<'a> {
     /// tracked so snapshots and reconciliation sweeps know which books
     /// are deliberately zeroed rather than divergent.
     quarantined: Vec<bool>,
-    /// The write-ahead journal, when durability is on. Every mutation
-    /// wrapper appends its effects *after* the in-memory state applied
-    /// them (the state is authoritative; the journal trails it by at
-    /// most the current record).
+    /// The write-ahead journal, when durability is on. `apply` appends
+    /// an effect list *after* the in-memory state took it (the state
+    /// is authoritative; the journal trails it by at most the current
+    /// record).
     wal: Option<Wal>,
     /// The first journaling failure, if any. Journaling is fail-stop:
     /// after an error the session keeps serving placements but stops
@@ -415,12 +420,7 @@ impl<'a> SchedulerSession<'a> {
     /// Hosts currently quarantined, ascending.
     #[must_use]
     pub fn quarantined_hosts(&self) -> Vec<HostId> {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| q)
-            .map(|(i, _)| HostId::from_index(i as u32))
-            .collect()
+        effects::quarantined_hosts(&self.quarantined)
     }
 
     /// Whether `host` has been quarantined in this session.
@@ -429,33 +429,34 @@ impl<'a> SchedulerSession<'a> {
         self.quarantined[host.index()]
     }
 
-    /// Appends one record, snapshotting afterwards if the cadence is
-    /// due. Fail-stop on error (see [`wal_error`](Self::wal_error)).
-    fn journal(&mut self, op: WalOp, effects: &[Effect]) {
+    /// The one write path: applies `effects` to the books
+    /// all-or-nothing, marks the hosts they name dirty, and journals the
+    /// same list as one `op` record — so what replay applies is what
+    /// the live books took, by construction.
+    fn apply(&mut self, op: WalOp, effects: &[Effect]) -> Result<(), CapacityError> {
+        let infra = self.scheduler.infrastructure();
+        effects::apply(infra, &mut self.state, &mut self.quarantined, effects)?;
+        self.record(op, effects);
+        Ok(())
+    }
+
+    /// The bookkeeping half of [`apply`](Self::apply), for effects the
+    /// books already hold: dirty marks, then one journal record
+    /// (snapshotting afterwards if the cadence is due). Journaling is
+    /// fail-stop on error (see [`wal_error`](Self::wal_error)).
+    fn record(&mut self, op: WalOp, effects: &[Effect]) {
+        self.touch_named(effects);
         if self.wal_error.is_some() {
             return;
         }
         let Some(w) = self.wal.as_mut() else { return };
         let mut result = w.append(op, effects).map(|_| ());
         if result.is_ok() && w.should_snapshot() {
-            let quarantined: Vec<HostId> = self
-                .quarantined
-                .iter()
-                .enumerate()
-                .filter(|&(_, &q)| q)
-                .map(|(i, _)| HostId::from_index(i as u32))
-                .collect();
-            result = w.snapshot(&self.state, &quarantined);
+            result = w.snapshot(&self.state, &effects::quarantined_hosts(&self.quarantined));
         }
         if let Err(e) = result {
             self.wal_error = Some(e);
         }
-    }
-
-    /// Whether journaling is currently live (attached and unpoisoned)
-    /// — used to skip building effect vectors nobody will consume.
-    fn journaling(&self) -> bool {
-        self.wal.is_some() && self.wal_error.is_none()
     }
 
     /// The underlying stateless scheduler.
@@ -472,7 +473,7 @@ impl<'a> SchedulerSession<'a> {
 
     /// Fsyncs the journal now (the service's group-commit point: one
     /// sync covers every record appended since the last). Fail-stop
-    /// like [`journal`](Self::journal): a sync error is recorded in
+    /// like [`record`](Self::record): a sync error is recorded in
     /// [`wal_error`](Self::wal_error) and journaling stops.
     pub(crate) fn sync_wal(&mut self) {
         if self.wal_error.is_some() {
@@ -492,47 +493,36 @@ impl<'a> SchedulerSession<'a> {
         }
     }
 
-    /// Captures the journal position for a later [`wal_rewind`] — the
-    /// service takes one before each group commit so a failed fsync can
-    /// be undone. `None` without an attached journal.
-    ///
-    /// [`wal_rewind`]: Self::wal_rewind
+    /// Captures the journal position a write transaction starts from,
+    /// so a group commit that cannot be made durable can be taken back
+    /// with [`rollback`](Self::rollback). `None` without an attached
+    /// journal.
     pub(crate) fn wal_mark(&self) -> Option<WalMark> {
         self.wal.as_ref().map(Wal::mark)
     }
 
-    /// Whether the journal can still be rewound to `mark` (a snapshot
-    /// compaction since the mark makes it impossible).
-    pub(crate) fn wal_can_rewind(&self, mark: &WalMark) -> bool {
-        self.wal.as_ref().is_some_and(|w| w.can_rewind(mark))
-    }
-
-    /// Rewinds the journal to `mark`, erasing every record appended
-    /// since, and clears the fail-stop latch on success so journaling
-    /// resumes — the service calls this after rolling the books back,
-    /// at which point journal and books agree again. Returns whether
-    /// the rewind succeeded; on failure the latch keeps (or takes) the
-    /// rewind error so it still surfaces.
-    pub(crate) fn wal_rewind(&mut self, mark: &WalMark) -> bool {
-        let Some(w) = self.wal.as_mut() else { return false };
-        match w.rewind(mark) {
-            Ok(()) => {
-                self.wal_error = None;
-                true
-            }
-            Err(e) => {
-                if self.wal_error.is_none() {
-                    self.wal_error = Some(e);
-                }
-                false
-            }
+    /// Takes a write transaction back: undoes `applied` — the effect
+    /// lists it applied, in order — off the books, last list first,
+    /// then rewinds the journal to `mark` and clears the fail-stop
+    /// latch, so journal and books agree again and journaling resumes.
+    /// Returns `false`, with nothing touched, when the journal cannot
+    /// be rewound (none attached, or a snapshot compaction ran since
+    /// the mark, so part of the transaction is already durable). A
+    /// failing rewind keeps (or sets) the latch so it still surfaces.
+    pub(crate) fn rollback(&mut self, mark: &WalMark, applied: &[Vec<Effect>]) -> bool {
+        if !self.wal.as_ref().is_some_and(|w| w.can_rewind(mark)) {
+            return false;
         }
-    }
-
-    /// Sequence number of the journal's last durable record, if a
-    /// journal is attached.
-    pub(crate) fn wal_seq(&self) -> Option<u64> {
-        self.wal.as_ref().map(Wal::seq)
+        let infra = self.scheduler.infrastructure();
+        for effects in applied.iter().rev() {
+            effects::undo(infra, &mut self.state, &mut self.quarantined, effects);
+            self.touch_named(effects);
+        }
+        match self.wal.as_mut().map(|w| w.rewind(mark)) {
+            Some(Err(e)) => self.wal_error = self.wal_error.take().or(Some(e)),
+            _ => self.wal_error = None,
+        }
+        true
     }
 
     /// Retries the group-commit fsync after a failure: clears the
@@ -600,20 +590,10 @@ impl<'a> SchedulerSession<'a> {
         }
     }
 
-    /// Re-freezes every quarantined host among `hosts`. The raw
-    /// [`CapacityState`] stores no quarantine flag, so a release on a
-    /// quarantined host — a tenant departing normally after its host
-    /// was frozen — would silently *resurrect* the capacity the
-    /// quarantine zeroed, and candidate sweeps (and the pod digests
-    /// folded from the same rows) would rank capacity nothing can use.
-    /// Every release-shaped mutation calls this; WAL replay applies
-    /// the identical re-freeze per effect, so recovery stays
-    /// bit-identical to the live books.
-    fn refreeze_quarantined(&mut self, hosts: impl IntoIterator<Item = HostId>) {
-        for host in hosts {
-            if self.quarantined[host.index()] {
-                self.state.quarantine_host(host);
-            }
+    /// Marks every host `effects` name dirty.
+    fn touch_named(&mut self, effects: &[Effect]) {
+        for host in effects.iter().flat_map(Effect::hosts) {
+            self.touch(host);
         }
     }
 
@@ -713,15 +693,8 @@ impl<'a> SchedulerSession<'a> {
         topology: &ApplicationTopology,
         placement: &Placement,
     ) -> Result<(), PlacementError> {
-        self.scheduler.commit(topology, placement, &mut self.state)?;
-        for i in 0..placement.assignments().len() {
-            self.touch(placement.assignments()[i]);
-        }
-        if self.journaling() {
-            let effects = wal::commit_effects(topology, placement);
-            self.journal(WalOp::Commit, &effects);
-        }
-        Ok(())
+        effects::covers(topology, placement.assignments().len())?;
+        Ok(self.apply(WalOp::Commit, &effects::commit_effects(topology, placement))?)
     }
 
     /// Releases a committed placement, journaling its hosts dirty.
@@ -734,16 +707,8 @@ impl<'a> SchedulerSession<'a> {
         topology: &ApplicationTopology,
         placement: &Placement,
     ) -> Result<(), PlacementError> {
-        self.scheduler.release(topology, placement, &mut self.state)?;
-        self.refreeze_quarantined(placement.assignments().iter().copied());
-        for i in 0..placement.assignments().len() {
-            self.touch(placement.assignments()[i]);
-        }
-        if self.journaling() {
-            let effects = wal::release_effects(topology, placement);
-            self.journal(WalOp::Release, &effects);
-        }
-        Ok(())
+        effects::covers(topology, placement.assignments().len())?;
+        Ok(self.apply(WalOp::Release, &effects::release_effects(topology, placement))?)
     }
 
     /// Releases the committed subset of a partial assignment,
@@ -758,16 +723,9 @@ impl<'a> SchedulerSession<'a> {
         topology: &ApplicationTopology,
         assignment: &[Option<HostId>],
     ) -> Result<(), PlacementError> {
-        self.scheduler.release_partial(topology, assignment, &mut self.state)?;
-        self.refreeze_quarantined(assignment.iter().copied().flatten());
-        for host in assignment.iter().copied().flatten() {
-            self.touch(host);
-        }
-        if self.journaling() {
-            let effects = wal::release_partial_effects(topology, assignment);
-            self.journal(WalOp::ReleasePartial, &effects);
-        }
-        Ok(())
+        effects::covers(topology, assignment.len())?;
+        let effects = effects::release_partial_effects(topology, assignment);
+        Ok(self.apply(WalOp::ReleasePartial, &effects)?)
     }
 
     /// Deploys a decision through the fault-aware pipeline against the
@@ -794,10 +752,11 @@ impl<'a> SchedulerSession<'a> {
         best_effort: &[bool],
         probe: &mut dyn FaultProbe,
     ) -> Result<DeploymentReport, DeployError> {
-        let result = self.scheduler.deploy(
+        let result = self.scheduler.deploy_on(
             topology,
             decided,
             &mut self.state,
+            &mut self.quarantined,
             request,
             policy,
             best_effort,
@@ -807,16 +766,9 @@ impl<'a> SchedulerSession<'a> {
             self.touch(decided.assignments()[i]);
         }
         if let Ok(report) = &result {
-            let hosts: Vec<HostId> = report.assignment.iter().flatten().copied().collect();
-            for host in hosts {
-                self.touch(host);
-            }
-            if self.journaling() {
-                // The pipeline rolled every failed path back, so the
-                // report's final assignment *is* the net reservation.
-                let effects = wal::deploy_effects(topology, &report.assignment);
-                self.journal(WalOp::Deploy, &effects);
-            }
+            // The pipeline rolled every failed path back, so the
+            // report's final assignment *is* the net reservation.
+            self.record(WalOp::Deploy, &effects::deploy_effects(topology, &report.assignment));
         }
         result
     }
@@ -903,45 +855,31 @@ impl<'a> SchedulerSession<'a> {
     }
 
     /// Moves one committed tenant from placement `from` to placement
-    /// `to` **atomically**: the old reservation is released and the new
-    /// one committed in memory, and both halves are journaled as a
-    /// single [`WalOp::Migrate`] record — so a crash can never surface
-    /// a half-moved tenant. This is the maintenance plane's only write
+    /// `to` **atomically**: the release of the old reservation followed
+    /// by the commit of the new one is a single effect list, applied
+    /// all-or-nothing and journaled as a single [`WalOp::Migrate`]
+    /// record — so neither a failure nor a crash can surface a
+    /// half-moved tenant. This is the maintenance plane's only write
     /// primitive (see [`MaintenancePlane`](crate::MaintenancePlane)).
     ///
     /// # Errors
     ///
-    /// As [`Scheduler::release`] / [`Scheduler::commit`]; on a commit
-    /// failure the old placement is restored bit-exactly (integer
-    /// bookkeeping round-trips) and nothing is journaled.
+    /// As [`Scheduler::release`] / [`Scheduler::commit`] — including
+    /// [`CapacityError::HostQuarantined`] when `to` names a quarantined
+    /// host, even one `from` occupies; on any failure the books are
+    /// bit-equal to what they were and nothing is journaled.
     pub fn migrate(
         &mut self,
         topology: &ApplicationTopology,
         from: &Placement,
         to: &Placement,
     ) -> Result<(), PlacementError> {
-        self.scheduler.release(topology, from, &mut self.state)?;
-        if let Err(e) = self.scheduler.commit(topology, to, &mut self.state) {
-            // Put the tenant back: the release freed exactly what the
-            // original commit reserved, so re-committing cannot fail.
-            if self.scheduler.commit(topology, from, &mut self.state).is_err() {
-                unreachable!("re-committing a just-released placement");
-            }
-            return Err(e);
-        }
-        self.refreeze_quarantined(from.assignments().iter().copied());
-        for &host in from.assignments() {
-            self.touch(host);
-        }
-        for &host in to.assignments() {
-            self.touch(host);
-        }
+        effects::covers(topology, from.assignments().len())?;
+        effects::covers(topology, to.assignments().len())?;
+        let mut effects = effects::release_effects(topology, from);
+        effects.extend(effects::commit_effects(topology, to));
+        self.apply(WalOp::Migrate, &effects)?;
         self.maintenance_migrations += 1;
-        if self.journaling() {
-            let mut effects = wal::release_effects(topology, from);
-            effects.extend(wal::commit_effects(topology, to));
-            self.journal(WalOp::Migrate, &effects);
-        }
         Ok(())
     }
 
@@ -950,13 +888,10 @@ impl<'a> SchedulerSession<'a> {
     /// frozen host neither dirties the journal nor appends a record,
     /// so repeated evacuations off one crashed host stay cheap.
     pub fn quarantine_host(&mut self, host: HostId) {
-        if self.quarantined[host.index()] {
-            return;
+        let freeze = [Effect::Quarantine { host }];
+        if !self.quarantined[host.index()] && self.apply(WalOp::Quarantine, &freeze).is_err() {
+            unreachable!("a quarantine cannot fail");
         }
-        self.state.quarantine_host(host);
-        self.quarantined[host.index()] = true;
-        self.touch(host);
-        self.journal(WalOp::Quarantine, &[Effect::Quarantine { host }]);
     }
 
     /// Raw node reservation against the session state (stale-capacity
@@ -967,10 +902,7 @@ impl<'a> SchedulerSession<'a> {
     /// As [`CapacityState::reserve_node`]; nothing is journaled on
     /// error.
     pub fn reserve_node(&mut self, host: HostId, req: Resources) -> Result<(), CapacityError> {
-        self.state.reserve_node(host, req)?;
-        self.touch(host);
-        self.journal(WalOp::ReserveNode, &[Effect::ReserveNode { host, resources: req }]);
-        Ok(())
+        self.apply(WalOp::ReserveNode, &[Effect::ReserveNode { host, resources: req }])
     }
 
     /// Raw node release against the session state, journaled.
@@ -980,11 +912,7 @@ impl<'a> SchedulerSession<'a> {
     /// As [`CapacityState::release_node`]; nothing is journaled on
     /// error.
     pub fn release_node(&mut self, host: HostId, req: Resources) -> Result<(), CapacityError> {
-        self.state.release_node(self.scheduler.infrastructure(), host, req)?;
-        self.refreeze_quarantined([host]);
-        self.touch(host);
-        self.journal(WalOp::ReleaseNode, &[Effect::ReleaseNode { host, resources: req }]);
-        Ok(())
+        self.apply(WalOp::ReleaseNode, &[Effect::ReleaseNode { host, resources: req }])
     }
 
     /// Anti-entropy sweep: compares the session's per-host books
@@ -1026,12 +954,10 @@ impl<'a> SchedulerSession<'a> {
             } else {
                 DivergenceKind::StaleRaceGhost
             };
-            self.state.resync_host(infra, t.host, t.used, t.instances)?;
-            self.touch(t.host);
-            self.journal(
+            self.apply(
                 WalOp::Reconcile,
                 &[Effect::Resync { host: t.host, used: t.used, instances: t.instances }],
-            );
+            )?;
             match kind {
                 DivergenceKind::OrphanedReservation => self.recon.orphaned += 1,
                 DivergenceKind::LeakedRelease => self.recon.leaked += 1,
@@ -1533,13 +1459,17 @@ mod tests {
         dir
     }
 
-    /// The tentpole durability contract at the session level: a full
-    /// mutation stream (commit, release, raw grabs, evacuation with
-    /// its quarantine) journaled through a WAL — with snapshots firing
-    /// mid-stream — recovers to bit-identical books, and a session
-    /// resumed from the recovery makes bit-identical decisions.
+    /// The tentpole durability contract at the session level: a
+    /// mutation stream emitting every record kind the session writes
+    /// (commit, release, raw grabs, evacuation with its partial release
+    /// and quarantine, deploy, reconcile, migrate — including a release
+    /// and a migrate that touch a quarantined host) journaled through a
+    /// WAL — with snapshots firing mid-stream — recovers to
+    /// bit-identical books, and a session resumed from the recovery
+    /// makes bit-identical decisions.
     #[test]
     fn session_wal_recovery_is_bit_identical() {
+        use crate::reconcile::HostTruth;
         use crate::wal::{recover, Wal, WalOptions};
 
         let infra = infra_flat(4, 8);
@@ -1566,6 +1496,51 @@ mod tests {
         let failed = out_b.placement.assignments()[0];
         let ev = session.evacuate(&app_b, &assignment, &request, failed, 4).unwrap();
         session.commit(&app_b, &ev.online.outcome.placement).unwrap();
+
+        // The remaining record kinds: a deployment's net record and an
+        // anti-entropy repair.
+        let out_d = session.place(&app_a, &request).unwrap();
+        let policy = crate::deploy::DeployPolicy::default();
+        session
+            .deploy(&app_a, &out_d.placement, &request, &policy, &[], &mut crate::deploy::NoFaults)
+            .unwrap();
+        let drifted = (0..infra.host_count() as u32)
+            .map(HostId::from_index)
+            .find(|&host| !session.is_quarantined(host))
+            .unwrap();
+        let used =
+            infra.host(drifted).capacity().saturating_sub(session.state().available(drifted));
+        let truth = HostTruth {
+            host: drifted,
+            used: used + Resources::new(1, 512, 0),
+            instances: session.state().node_count(drifted) + 1,
+        };
+        assert_eq!(session.reconcile(&[truth]).unwrap().repaired(), 1);
+
+        // The two shapes that touch a quarantined host: a tenant
+        // drained off one (one Migrate record releasing there) and a
+        // tenant departing from one (a Release).
+        let app_c = hub_app("c");
+        let out_c = session.place(&app_c, &request).unwrap();
+        session.commit(&app_c, &out_c.placement).unwrap();
+        let app_e = chain_app("e");
+        let out_e = session.place(&app_e, &request).unwrap();
+        session.commit(&app_e, &out_e.placement).unwrap();
+        let drained = out_c.placement.assignments()[0];
+        session.quarantine_host(drained);
+        let scheduler = session.scheduler();
+        let mut trial = session.state().clone();
+        scheduler.release(&app_c, &out_c.placement, &mut trial).unwrap();
+        trial.quarantine_host(drained);
+        let moved = scheduler.place(&app_c, &trial, &request).unwrap().placement;
+        session.migrate(&app_c, &out_c.placement, &moved).unwrap();
+        let departed = out_e.placement.assignments()[0];
+        session.quarantine_host(departed);
+        session.release(&app_e, &out_e.placement).unwrap();
+        for host in [failed, drained, departed] {
+            assert!(session.state().available(host).is_zero(), "{host} thawed");
+        }
+
         assert!(session.wal_error().is_none(), "journaling must not have failed");
         let wal_back = session.detach_wal().unwrap();
         assert!(wal_back.snapshots_taken() > 0, "the cadence must have compacted mid-stream");
@@ -1574,16 +1549,68 @@ mod tests {
         let recovery = recover(&dir, &infra).unwrap();
         assert_eq!(&recovery.state, session.state(), "recovered books diverge");
         assert_eq!(recovery.quarantined, session.quarantined_hosts());
-        assert_eq!(recovery.quarantined, vec![failed]);
+        let mut frozen = vec![failed, drained, departed];
+        frozen.sort_unstable_by_key(|host| host.index());
+        frozen.dedup();
+        assert_eq!(recovery.quarantined, frozen);
         assert!(!recovery.truncated_tail);
 
         // A resumed session decides bit-identically to the survivor.
         let mut resumed = SchedulerSession::with_recovery(&infra, &recovery);
         assert!(resumed.is_quarantined(failed));
-        let app_c = hub_app("c");
-        let survivor = session.place(&app_c, &request).unwrap();
-        let after_crash = resumed.place(&app_c, &request).unwrap();
+        let app_f = hub_app("f");
+        let survivor = session.place(&app_f, &request).unwrap();
+        let after_crash = resumed.place(&app_f, &request).unwrap();
         assert_outcomes_identical(&after_crash, &survivor, "post-recovery placement");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: migrating a tenant onto a quarantined host it
+    /// already occupies. The release half used to resurrect the frozen
+    /// capacity on the live books, the commit half landed on it, and
+    /// the record was journaled — but replay re-froze after every
+    /// effect and failed the reservation, so an acknowledged journal
+    /// could not be recovered (`WalError::Replay`). With one apply on
+    /// both sides the migrate is refused with the typed error, and
+    /// books, dirty journal and WAL stay untouched.
+    ///
+    /// Not reproduced through `ServiceHandle::maintain`: no plane can
+    /// be made to propose the move. The drain planner un-pins every
+    /// node on a quarantined host and plans on books where every
+    /// quarantined host is re-frozen; the defrag planner skips any
+    /// tenant touching a quarantined host and plans on books where
+    /// those hosts are already zeroed — neither search can select one.
+    #[test]
+    fn migrate_onto_a_quarantined_host_is_refused_and_the_journal_recovers() {
+        use crate::wal::{recover, Wal, WalOptions};
+
+        let infra = infra_flat(1, 4);
+        let dir = wal_dir("migrate-quarantined");
+        let (walh, _) = Wal::open(&dir, &infra, WalOptions::default()).unwrap();
+        let mut session = SchedulerSession::new(&infra);
+        session.attach_wal(walh);
+        let mut b = TopologyBuilder::new("one");
+        b.vm("v", 2, 2_048).unwrap();
+        let app = b.build().unwrap();
+        let h0 = HostId::from_index(0);
+        let on_h0 = Placement::new(vec![h0]);
+        session.commit(&app, &on_h0).unwrap();
+        session.quarantine_host(h0);
+        session.refresh();
+        let books = session.state().clone();
+
+        let err = session.migrate(&app, &on_h0, &on_h0).unwrap_err();
+        assert_eq!(err, PlacementError::Capacity(CapacityError::HostQuarantined(h0)));
+        assert_eq!(session.state(), &books, "a refused migrate moved the books");
+        assert!(session.pending_dirty_hosts().is_empty(), "a refused migrate dirtied hosts");
+        assert!(session.wal_error().is_none());
+        let journal = session.detach_wal().unwrap();
+        assert_eq!(journal.seq(), 2, "only the commit and the quarantine are journaled");
+        drop(journal);
+
+        let recovery = recover(&dir, &infra).unwrap();
+        assert_eq!(&recovery.state, session.state(), "recovered books diverge");
+        assert_eq!(recovery.quarantined, vec![h0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1981,9 +2008,9 @@ mod tests {
         );
 
         session.refresh();
-        for i in 0..infra.host_count() {
+        for (i, &before) in epochs_before.iter().enumerate() {
             let host = HostId::from_index(i as u32);
-            let expected = if host == failed { epochs_before[i] + 1 } else { epochs_before[i] };
+            let expected = if host == failed { before + 1 } else { before };
             assert_eq!(session.host_epoch(host), expected, "epoch of host {i}");
         }
         assert!(session.is_quarantined(failed));

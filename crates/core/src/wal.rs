@@ -1,14 +1,14 @@
 //! Crash-recoverable scheduler state: a write-ahead journal with
 //! periodic snapshots and bounded replay.
 //!
-//! Every mutation a [`SchedulerSession`](crate::SchedulerSession)
-//! funnels through its wrappers is recorded as one logical operation
-//! carrying the exact primitive *effects* it applied to the
-//! [`CapacityState`] — node reservations, flow reservations, their
-//! releases, quarantines, and reconciliation resyncs. Replay applies
-//! the effects in journal order to a fresh (or snapshotted) state, so
-//! a recovered session's books are bit-identical to the books the
-//! live session held at the moment of its last durable append.
+//! Every mutation of a [`SchedulerSession`](crate::SchedulerSession)
+//! is one [`Effect`] list: the session applies the list to its books
+//! and appends the same list as one record. Replay hands each record's
+//! list to the same apply function, in journal order, over a fresh (or
+//! snapshotted) state — so a recovered session's books are
+//! bit-identical to the books the live session held at the moment of
+//! its last durable append, by construction rather than by two
+//! implementations agreeing.
 //!
 //! # On-disk format
 //!
@@ -69,9 +69,12 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use ostro_datacenter::{CapacityError, CapacityState, HostId, Infrastructure};
-use ostro_model::{ApplicationTopology, Bandwidth, Resources};
+use ostro_model::Resources;
 
-use crate::placement::Placement;
+use crate::effects::{self, quarantined_hosts};
+pub use crate::effects::{
+    commit_effects, deploy_effects, release_effects, release_partial_effects, Effect,
+};
 
 /// Journal file name inside a WAL directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -289,62 +292,6 @@ impl WalOp {
     }
 }
 
-/// One primitive state mutation, the unit of replay. A journal record
-/// is a sequence of effects applied atomically-in-order; replaying the
-/// whole journal reproduces the live state bit-for-bit because these
-/// are exactly the mutations [`CapacityState`] exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// `state.reserve_node(host, resources)`.
-    ReserveNode {
-        /// Target host.
-        host: HostId,
-        /// Node footprint.
-        resources: Resources,
-    },
-    /// `state.release_node(infra, host, resources)`.
-    ReleaseNode {
-        /// Target host.
-        host: HostId,
-        /// Node footprint.
-        resources: Resources,
-    },
-    /// `state.reserve_flow(infra, a, b, mbps)` along the `a`→`b` route.
-    ReserveFlow {
-        /// One endpoint host.
-        a: HostId,
-        /// The other endpoint host.
-        b: HostId,
-        /// Link demand in Mbps.
-        mbps: u64,
-    },
-    /// `state.release_flow(infra, a, b, mbps)`.
-    ReleaseFlow {
-        /// One endpoint host.
-        a: HostId,
-        /// The other endpoint host.
-        b: HostId,
-        /// Link demand in Mbps.
-        mbps: u64,
-    },
-    /// `state.quarantine_host(host)` — also marks the host in the
-    /// recovered quarantine set.
-    Quarantine {
-        /// The host frozen out of future placements.
-        host: HostId,
-    },
-    /// `state.resync_host(infra, host, used, instances)` — an
-    /// anti-entropy correction forcing the books to ground truth.
-    Resync {
-        /// The corrected host.
-        host: HostId,
-        /// Ground-truth used footprint.
-        used: Resources,
-        /// Ground-truth instance count.
-        instances: u32,
-    },
-}
-
 const MAX_EFFECT_LEN: usize = 25;
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -490,88 +437,6 @@ fn encode_header(host_count: usize, base_seq: u64) -> [u8; HEADER_LEN] {
 }
 
 // ---------------------------------------------------------------------------
-// Effect builders mirroring the scheduler's mutation order
-// ---------------------------------------------------------------------------
-
-/// The effects [`Scheduler::commit`](crate::Scheduler::commit) applies:
-/// every node reserved in topology order, then every link's flow.
-#[must_use]
-pub fn commit_effects(topology: &ApplicationTopology, placement: &Placement) -> Vec<Effect> {
-    let mut effects = Vec::with_capacity(topology.node_count() + topology.links().len());
-    for node in topology.nodes() {
-        effects.push(Effect::ReserveNode {
-            host: placement.host_of(node.id()),
-            resources: node.requirements(),
-        });
-    }
-    for link in topology.links() {
-        let (a, b) = link.endpoints();
-        effects.push(Effect::ReserveFlow {
-            a: placement.host_of(a),
-            b: placement.host_of(b),
-            mbps: link.bandwidth().as_mbps(),
-        });
-    }
-    effects
-}
-
-/// The effects of [`Scheduler::release`](crate::Scheduler::release):
-/// the exact inverse of [`commit_effects`], in the same order.
-#[must_use]
-pub fn release_effects(topology: &ApplicationTopology, placement: &Placement) -> Vec<Effect> {
-    commit_effects(topology, placement).iter().map(Effect::inverse).collect()
-}
-
-/// The effects of
-/// [`Scheduler::release_partial`](crate::Scheduler::release_partial):
-/// every assigned node released, then every fully assigned link.
-#[must_use]
-pub fn release_partial_effects(
-    topology: &ApplicationTopology,
-    assignment: &[Option<HostId>],
-) -> Vec<Effect> {
-    deploy_effects(topology, assignment).iter().map(Effect::inverse).collect()
-}
-
-/// The net effects of a successful deployment of a (possibly partial)
-/// `assignment`: every placed node reserved, then every link whose
-/// endpoints both landed.
-#[must_use]
-pub fn deploy_effects(
-    topology: &ApplicationTopology,
-    assignment: &[Option<HostId>],
-) -> Vec<Effect> {
-    let mut effects = Vec::new();
-    for node in topology.nodes() {
-        if let Some(host) = assignment[node.id().index()] {
-            effects.push(Effect::ReserveNode { host, resources: node.requirements() });
-        }
-    }
-    for link in topology.links() {
-        let (a, b) = link.endpoints();
-        if let (Some(ha), Some(hb)) = (assignment[a.index()], assignment[b.index()]) {
-            effects.push(Effect::ReserveFlow { a: ha, b: hb, mbps: link.bandwidth().as_mbps() });
-        }
-    }
-    effects
-}
-
-impl Effect {
-    /// The effect undoing this one (quarantine and resync are their
-    /// own "inverse" — they are idempotent forcings, not deltas).
-    #[must_use]
-    pub fn inverse(&self) -> Effect {
-        match *self {
-            Effect::ReserveNode { host, resources } => Effect::ReleaseNode { host, resources },
-            Effect::ReleaseNode { host, resources } => Effect::ReserveNode { host, resources },
-            Effect::ReserveFlow { a, b, mbps } => Effect::ReleaseFlow { a, b, mbps },
-            Effect::ReleaseFlow { a, b, mbps } => Effect::ReserveFlow { a, b, mbps },
-            other => other,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Options, snapshots, recovery
 // ---------------------------------------------------------------------------
 
@@ -707,131 +572,105 @@ fn recover_impl(dir: &Path, infra: &Infrastructure) -> Result<(Recovery, TailSca
     };
     let mut seq = snapshot_seq.unwrap_or(0);
 
-    // 2. Journal, if any.
+    // 2. Journal, if any. A missing, empty or torn-header journal
+    // recovers to the snapshot alone: nothing after a torn header can
+    // have been durably appended (the header is the first write after
+    // every truncation).
     let bytes = match fs::read(&wal_path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let recovery = Recovery {
-                state,
-                quarantined: collect_quarantined(&quarantined),
-                seq,
-                snapshot_seq,
-                records_replayed: 0,
-                records_skipped: 0,
-                truncated_tail: false,
-            };
-            return Ok((recovery, TailScan { good_len: 0, stale_prefix: false }));
-        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(io_err(&wal_path, e)),
     };
-
-    if bytes.len() < HEADER_LEN {
-        // An empty or torn header: nothing after it can have been
-        // durably appended (the header is the first write after every
-        // truncation), so recovering to the snapshot alone is safe.
-        let recovery = Recovery {
-            state,
-            quarantined: collect_quarantined(&quarantined),
-            seq,
-            snapshot_seq,
-            records_replayed: 0,
-            records_skipped: 0,
-            truncated_tail: !bytes.is_empty(),
-        };
-        return Ok((recovery, TailScan { good_len: 0, stale_prefix: false }));
-    }
-
-    if &bytes[..8] != MAGIC {
-        return Err(WalError::Corrupt {
-            path: wal_path,
-            offset: 0,
-            reason: "bad magic".to_string(),
-        });
-    }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != VERSION {
-        return Err(WalError::Corrupt {
-            path: wal_path,
-            offset: 8,
-            reason: format!("unsupported version {version}"),
-        });
-    }
-    let header_hosts = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
-    if header_hosts != host_count {
-        return Err(WalError::HostCountMismatch { expected: host_count, found: header_hosts });
-    }
-    let base_seq = u64::from_le_bytes([
-        bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
-    ]);
-    if base_seq > seq {
-        // The journal continues from a sequence the snapshot never
-        // reached: history between them is gone. (The snapshot rename
-        // is made durable with a directory fsync *before* the journal
-        // is truncated, so this cannot be an interrupted compaction.)
-        return Err(WalError::Corrupt {
-            path: wal_path,
-            offset: 16,
-            reason: format!("journal base sequence {base_seq} is ahead of snapshot ({seq})"),
-        });
-    }
-    // base_seq < seq is the compaction crash window: the snapshot was
-    // renamed into place but the journal was not yet truncated behind
-    // it. Records at or below the snapshot's sequence are already
-    // folded in and replay skips them.
-    let stale_prefix = base_seq < seq;
-
-    // 3. Replay records until the end or the first torn byte.
-    let mut pos = HEADER_LEN;
-    let mut good_len = HEADER_LEN as u64;
-    let mut journal_seq = base_seq;
-    let mut records_replayed = 0u64;
-    let mut records_skipped = 0u64;
-    let mut torn = false;
-    while pos < bytes.len() {
-        let Some(frame) = bytes.get(pos..pos + 8) else {
-            torn = true;
-            break;
-        };
-        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
-        let crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        if len > MAX_PAYLOAD {
-            torn = true;
-            break;
+    let (mut good_len, mut stale_prefix) = (0u64, false);
+    let (mut records_replayed, mut records_skipped) = (0u64, 0u64);
+    let mut torn = !bytes.is_empty() && bytes.len() < HEADER_LEN;
+    if bytes.len() >= HEADER_LEN {
+        if &bytes[..8] != MAGIC {
+            return Err(WalError::Corrupt {
+                path: wal_path,
+                offset: 0,
+                reason: "bad magic".to_string(),
+            });
         }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            torn = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            torn = true;
-            break;
+        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        if version != VERSION {
+            return Err(WalError::Corrupt {
+                path: wal_path,
+                offset: 8,
+                reason: format!("unsupported version {version}"),
+            });
         }
-        // From here on the payload is checksummed: failures are real
-        // corruption (or a foreign journal), not torn writes.
-        let record_seq = apply_payload(
-            payload,
-            &wal_path,
-            pos as u64,
-            journal_seq,
-            seq,
-            infra,
-            &mut state,
-            &mut quarantined,
-        )?;
-        journal_seq = record_seq;
-        if record_seq > seq {
-            seq = record_seq;
-            records_replayed += 1;
-        } else {
-            records_skipped += 1;
+        let header_hosts =
+            u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+        if header_hosts != host_count {
+            return Err(WalError::HostCountMismatch { expected: host_count, found: header_hosts });
         }
-        pos += 8 + len as usize;
-        good_len = pos as u64;
+        let base_seq = u64::from_le_bytes([
+            bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
+        ]);
+        if base_seq > seq {
+            // The journal continues from a sequence the snapshot never
+            // reached: history between them is gone. (The snapshot rename
+            // is made durable with a directory fsync *before* the journal
+            // is truncated, so this cannot be an interrupted compaction.)
+            return Err(WalError::Corrupt {
+                path: wal_path,
+                offset: 16,
+                reason: format!("journal base sequence {base_seq} is ahead of snapshot ({seq})"),
+            });
+        }
+        // base_seq < seq is the compaction crash window: the snapshot was
+        // renamed into place but the journal was not yet truncated behind
+        // it. Records at or below the snapshot's sequence are already
+        // folded in and replay skips them.
+        stale_prefix = base_seq < seq;
+
+        // 3. Replay records until the end or the first torn byte.
+        let mut pos = HEADER_LEN;
+        good_len = HEADER_LEN as u64;
+        let mut journal_seq = base_seq;
+        while pos < bytes.len() {
+            let Some(frame) = bytes.get(pos..pos + 8) else {
+                torn = true;
+                break;
+            };
+            let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+            let crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+            if len > MAX_PAYLOAD {
+                torn = true;
+                break;
+            }
+            let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
+                torn = true;
+                break;
+            };
+            if crc32(payload) != crc {
+                torn = true;
+                break;
+            }
+            // From here on the payload is checksummed: failures are real
+            // corruption (or a foreign journal), not torn writes.
+            let (record_seq, effects) =
+                decode_record(payload, &wal_path, pos as u64, journal_seq, host_count)?;
+            journal_seq = record_seq;
+            if record_seq > seq {
+                effects::apply(infra, &mut state, &mut quarantined, &effects)
+                    .map_err(|source| WalError::Replay { seq: record_seq, source })?;
+                seq = record_seq;
+                records_replayed += 1;
+            } else {
+                // A stale prefix left by an interrupted compaction: fully
+                // validated, but the snapshot already holds its effects.
+                records_skipped += 1;
+            }
+            pos += 8 + len as usize;
+            good_len = pos as u64;
+        }
     }
 
     let recovery = Recovery {
         state,
-        quarantined: collect_quarantined(&quarantined),
+        quarantined: quarantined_hosts(&quarantined),
         seq,
         snapshot_seq,
         records_replayed,
@@ -841,22 +680,15 @@ fn recover_impl(dir: &Path, infra: &Infrastructure) -> Result<(Recovery, TailSca
     Ok((recovery, TailScan { good_len, stale_prefix }))
 }
 
-/// Decodes and applies one checksummed payload, returning its sequence
-/// number (which must be `prev_seq + 1`). Records at or below
-/// `applied_seq` — a stale prefix left by an interrupted compaction —
-/// are fully validated but their effects are not re-applied: the
-/// snapshot already holds them.
-#[allow(clippy::too_many_arguments)]
-fn apply_payload(
+/// Decodes one checksummed payload into its sequence number (which
+/// must be `prev_seq + 1`) and its effect list.
+fn decode_record(
     payload: &[u8],
     wal_path: &Path,
     offset: u64,
     prev_seq: u64,
-    applied_seq: u64,
-    infra: &Infrastructure,
-    state: &mut CapacityState,
-    quarantined: &mut [bool],
-) -> Result<u64, WalError> {
+    host_count: usize,
+) -> Result<(u64, Vec<Effect>), WalError> {
     let corrupt = |reason: &str| WalError::Corrupt {
         path: wal_path.to_path_buf(),
         offset,
@@ -870,74 +702,15 @@ fn apply_payload(
     let op_tag = cur.u8().ok_or_else(|| corrupt("payload too short"))?;
     WalOp::from_u8(op_tag).ok_or_else(|| corrupt(&format!("unknown op {op_tag}")))?;
     let count = cur.u32().ok_or_else(|| corrupt("payload too short"))?;
+    let mut effects = Vec::new();
     for _ in 0..count {
-        let effect = decode_effect(&mut cur, infra.host_count())
-            .ok_or_else(|| corrupt("undecodable effect"))?;
-        if record_seq > applied_seq {
-            apply_effect(state, quarantined, infra, effect, record_seq)?;
-        }
+        let effect = decode_effect(&mut cur, host_count);
+        effects.push(effect.ok_or_else(|| corrupt("undecodable effect"))?);
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in payload"));
     }
-    Ok(record_seq)
-}
-
-fn apply_effect(
-    state: &mut CapacityState,
-    quarantined: &mut [bool],
-    infra: &Infrastructure,
-    effect: Effect,
-    seq: u64,
-) -> Result<(), WalError> {
-    let result = match effect {
-        Effect::ReserveNode { host, resources } => state.reserve_node(host, resources),
-        Effect::ReleaseNode { host, resources } => {
-            let out = state.release_node(infra, host, resources);
-            refreeze(state, quarantined, host);
-            out
-        }
-        Effect::ReserveFlow { a, b, mbps } => {
-            state.reserve_flow(infra, a, b, Bandwidth::from_mbps(mbps))
-        }
-        Effect::ReleaseFlow { a, b, mbps } => {
-            let out = state.release_flow(infra, a, b, Bandwidth::from_mbps(mbps));
-            refreeze(state, quarantined, a);
-            refreeze(state, quarantined, b);
-            out
-        }
-        Effect::Quarantine { host } => {
-            state.quarantine_host(host);
-            quarantined[host.index()] = true;
-            Ok(())
-        }
-        Effect::Resync { host, used, instances } => {
-            let out = state.resync_host(infra, host, used, instances);
-            refreeze(state, quarantined, host);
-            out
-        }
-    };
-    result.map_err(|source| WalError::Replay { seq, source })
-}
-
-/// Re-zeroes a quarantined host's availability after a release-like
-/// effect. `CapacityState` stores no quarantine flag, so a release on a
-/// quarantined host would otherwise resurrect the capacity the
-/// quarantine froze; the live session applies the same re-freeze, so
-/// replay stays bit-identical.
-fn refreeze(state: &mut CapacityState, quarantined: &[bool], host: HostId) {
-    if quarantined[host.index()] {
-        state.quarantine_host(host);
-    }
-}
-
-fn collect_quarantined(flags: &[bool]) -> Vec<HostId> {
-    flags
-        .iter()
-        .enumerate()
-        .filter(|&(_, &q)| q)
-        .map(|(i, _)| HostId::from_index(i as u32))
-        .collect()
+    Ok((record_seq, effects))
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,13 +804,6 @@ pub(crate) struct WalMark {
     bytes: u64,
     since_snapshot: u64,
     generation: u64,
-}
-
-impl WalMark {
-    /// Sequence number of the last record covered by the mark.
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
 }
 
 impl Wal {
@@ -1354,9 +1120,23 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effects::quarantined_hosts as collect_quarantined;
     use ostro_datacenter::InfrastructureBuilder;
+    use ostro_model::Bandwidth;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The live side of the journal-level tests: one effect through the
+    /// same `apply` replay runs.
+    fn apply_effect(
+        state: &mut CapacityState,
+        quarantined: &mut [bool],
+        infra: &Infrastructure,
+        effect: Effect,
+        _seq: u64,
+    ) -> Result<(), CapacityError> {
+        effects::apply(infra, state, quarantined, &[effect])
+    }
 
     fn infra(hosts_per_rack: usize) -> Infrastructure {
         InfrastructureBuilder::flat(
@@ -1400,41 +1180,82 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every effect kind under every record kind, live ≡ replay —
+    /// including a release and a migrate-shaped record that touch a
+    /// quarantined host (its resident node and flow leave after the
+    /// freeze).
     #[test]
     fn append_and_recover_round_trips_every_effect_kind() {
         let infra = infra(4);
         let dir = temp_dir("round-trip");
         let res = Resources::new(2, 4_096, 100);
-        let effects: Vec<Vec<Effect>> = vec![
-            vec![
-                Effect::ReserveNode { host: h(0), resources: res },
-                Effect::ReserveNode { host: h(1), resources: res },
-                Effect::ReserveFlow { a: h(0), b: h(1), mbps: 250 },
-            ],
-            vec![
-                Effect::ReleaseFlow { a: h(0), b: h(1), mbps: 250 },
-                Effect::ReleaseNode { host: h(1), resources: res },
-            ],
-            vec![Effect::Quarantine { host: h(3) }],
-            vec![Effect::Resync { host: h(2), used: Resources::new(1, 1_024, 10), instances: 1 }],
+        let records: Vec<(WalOp, Vec<Effect>)> = vec![
+            (
+                WalOp::Commit,
+                vec![
+                    Effect::ReserveNode { host: h(0), resources: res },
+                    Effect::ReserveNode { host: h(1), resources: res },
+                    Effect::ReserveFlow { a: h(0), b: h(1), mbps: 250 },
+                ],
+            ),
+            (
+                WalOp::Deploy,
+                vec![
+                    Effect::ReserveNode { host: h(3), resources: res },
+                    Effect::ReserveNode { host: h(4), resources: res },
+                    Effect::ReserveFlow { a: h(3), b: h(4), mbps: 400 },
+                ],
+            ),
+            (WalOp::ReserveNode, vec![Effect::ReserveNode { host: h(3), resources: res }]),
+            (
+                WalOp::ReleasePartial,
+                vec![
+                    Effect::ReleaseFlow { a: h(0), b: h(1), mbps: 250 },
+                    Effect::ReleaseNode { host: h(1), resources: res },
+                ],
+            ),
+            (WalOp::Quarantine, vec![Effect::Quarantine { host: h(3) }]),
+            (WalOp::Evacuate, vec![Effect::Quarantine { host: h(3) }]),
+            (
+                WalOp::Reconcile,
+                vec![Effect::Resync {
+                    host: h(2),
+                    used: Resources::new(1, 1_024, 10),
+                    instances: 1,
+                }],
+            ),
+            (WalOp::ReleaseNode, vec![Effect::ReleaseNode { host: h(3), resources: res }]),
+            (
+                WalOp::Migrate,
+                vec![
+                    Effect::ReleaseNode { host: h(3), resources: res },
+                    Effect::ReleaseNode { host: h(4), resources: res },
+                    Effect::ReleaseFlow { a: h(3), b: h(4), mbps: 400 },
+                    Effect::ReserveNode { host: h(5), resources: res },
+                    Effect::ReserveNode { host: h(4), resources: res },
+                    Effect::ReserveFlow { a: h(5), b: h(4), mbps: 400 },
+                ],
+            ),
+            (WalOp::Release, vec![Effect::ReleaseNode { host: h(0), resources: res }]),
         ];
         let mut live = CapacityState::new(&infra);
         let mut q = vec![false; infra.host_count()];
         {
             let (mut wal, recovery) = Wal::open(&dir, &infra, WalOptions::default()).unwrap();
             assert_eq!(recovery.seq, 0);
-            for (i, batch) in effects.iter().enumerate() {
-                let seq = wal.append(WalOp::Commit, batch).unwrap();
+            for (i, (op, batch)) in records.iter().enumerate() {
+                let seq = wal.append(*op, batch).unwrap();
                 assert_eq!(seq, i as u64 + 1);
-                for &e in batch {
-                    apply_effect(&mut live, &mut q, &infra, e, seq).unwrap();
-                }
+                effects::apply(&infra, &mut live, &mut q, batch).unwrap();
             }
         }
+        assert!(live.available(h(3)).is_zero(), "the releases thawed the quarantined host");
+        assert_eq!(live.nic_available(h(3)), Bandwidth::ZERO);
+        assert_eq!(live.node_count(h(3)), 0);
         let recovery = recover(&dir, &infra).unwrap();
         assert_eq!(recovery.state, live, "replayed books must equal the live books");
-        assert_eq!(recovery.seq, 4);
-        assert_eq!(recovery.records_replayed, 4);
+        assert_eq!(recovery.seq, records.len() as u64);
+        assert_eq!(recovery.records_replayed, records.len() as u64);
         assert_eq!(recovery.quarantined, vec![h(3)]);
         assert!(!recovery.truncated_tail);
         let _ = fs::remove_dir_all(&dir);
@@ -1527,7 +1348,7 @@ mod tests {
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(0), resources: res }])
             .unwrap();
         let mark = wal.mark();
-        assert_eq!(mark.seq(), 1);
+        assert_eq!(mark.seq, 1);
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(1), resources: res }])
             .unwrap();
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(2), resources: res }])

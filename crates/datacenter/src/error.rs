@@ -70,6 +70,9 @@ pub enum CapacityError {
     ReleaseUnderflowHost(HostId),
     /// A release exceeded what was reserved on a link.
     ReleaseUnderflowLink(LinkRef),
+    /// A reservation named a quarantined host: nothing may land there,
+    /// whatever its books say is free.
+    HostQuarantined(HostId),
 }
 
 impl fmt::Display for CapacityError {
@@ -87,6 +90,7 @@ impl fmt::Display for CapacityError {
             Self::ReleaseUnderflowLink(l) => {
                 write!(f, "release on link {l} exceeds reserved amount")
             }
+            Self::HostQuarantined(h) => write!(f, "host {h} is quarantined"),
         }
     }
 }

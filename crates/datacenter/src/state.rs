@@ -278,6 +278,21 @@ impl CapacityState {
         self.nic_avail[host.index()] = Bandwidth::ZERO;
     }
 
+    /// Lifts a quarantined host's zeroed availability by `free` and its
+    /// NIC headroom by `nic` — exactly what a reservation about to be
+    /// re-applied there takes back out. Undoing a release that happened
+    /// while the host was frozen needs this: the release left the
+    /// frozen cells at zero, so its inverse must enter them at the
+    /// released amount to leave them at zero again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is out of range.
+    pub fn thaw_host(&mut self, host: HostId, free: Resources, nic: Bandwidth) {
+        self.host_avail[host.index()] = self.host_avail[host.index()] + free;
+        self.nic_avail[host.index()] += nic;
+    }
+
     /// Forces one host's local books to an externally observed truth:
     /// `used` resources reserved and `count` nodes resident. The
     /// anti-entropy sweep uses this to repair a host whose session view

@@ -8,7 +8,7 @@ cargo build --release
 cargo test -q
 cargo test --workspace -q
 cargo fmt --check
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Kernel smoke (64 hosts) twice — scalar build, then the explicit
 # `simd` intrinsics build — asserting the seeded EG/BA*/DBA* decision
 # digest is identical: vectorized candidate filtering must never
