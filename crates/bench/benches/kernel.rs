@@ -146,19 +146,21 @@ fn bench_kernel(c: &mut Criterion, scale: &Scale) {
 
         let mut group = c.benchmark_group(format!("candidate_scoring/{label}"));
         group.sample_size(10);
-        // The memo-off single-thread engine: what every scoring round
-        // cost before chunked dispatch and bound memoization landed.
+        // The per-host single-thread engine: one §III-A2 evaluation per
+        // candidate, no dispatch — the reference the other rows are
+        // read against.
         group.bench_function("serial", |b| {
             b.iter(|| kernel::scoring_round(&topo, &infra, &base, false, false, 1, scale.prefix));
         });
-        // The engine's current defaults: chunked dispatch plus the
-        // heuristic-bound memo cache (cold per call, but untouched
-        // hosts with equal availability share one resolution).
+        // The engine's defaults: chunked dispatch plus the region memo
+        // (one §III-A2 evaluation per decision region of the round;
+        // every other untouched host takes the bound of the region its
+        // free capacity falls in).
         group.bench_function("parallel", |b| {
             b.iter(|| kernel::scoring_round(&topo, &infra, &base, true, true, 0, scale.prefix));
         });
-        // Chunked dispatch with the memo cache disabled, isolating the
-        // dispatch overhead from the caching win.
+        // Chunked dispatch with per-host evaluation, isolating the
+        // dispatch overhead from the region memo's win.
         group.bench_function("parallel_uncached", |b| {
             b.iter(|| kernel::scoring_round(&topo, &infra, &base, true, false, 0, scale.prefix));
         });

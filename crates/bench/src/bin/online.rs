@@ -4,10 +4,10 @@
 //! reports the new optimization completing within 0.3 s and notes that
 //! larger updates trigger repositioning of previously placed nodes.
 //!
-//! All three rows are served by **one** [`SchedulerSession`] — the
-//! initial placement warms the bound cache once, and each row's
-//! re-placement rounds reuse it, the way a long-running placement
-//! service would. A row that fails reports its error in the table and
+//! All three rows are served by **one** [`SchedulerSession`] — its
+//! mirror of the books and its scoring pool are built once and every
+//! row's re-placement rounds reuse them, the way a long-running
+//! placement service would. A row that fails reports its error in the table and
 //! the run continues; only setup failures abort.
 
 use std::time::Duration;

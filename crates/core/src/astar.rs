@@ -114,7 +114,7 @@ pub(crate) fn run_astar<'a, P: SearchPolicy>(
     let mut upper: Option<Path<'a>> = run_eg(ctx, &root, &mut scratch).ok();
     policy.note_initial_eg(eg_started.elapsed());
     let mut u_upper = upper.as_ref().map_or(f64::INFINITY, |p| p.u_star);
-    stats.heuristic_evals += scratch.heuristic_evals;
+    stats.fold_scoring_effort(&scratch);
 
     // Expanded paths live in a flat arena (light open-queue entries
     // reference their parent by index); candidate masks, host lists,
@@ -213,8 +213,9 @@ pub(crate) fn run_astar<'a, P: SearchPolicy>(
                 let mut eg_stats = SearchStats::default();
                 stats.eg_runs += 1;
                 let refresh_started = std::time::Instant::now();
-                if let Ok(completion) = run_eg_capped(ctx, &child, &mut eg_stats, REFRESH_CAP) {
-                    stats.heuristic_evals += eg_stats.heuristic_evals;
+                let completion = run_eg_capped(ctx, &child, &mut eg_stats, REFRESH_CAP);
+                stats.fold_scoring_effort(&eg_stats);
+                if let Ok(completion) = completion {
                     if completion.u_star < u_upper {
                         u_upper = completion.u_star;
                         upper = Some(completion);
@@ -240,6 +241,8 @@ pub(crate) fn run_bastar<'a>(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::objective::ObjectiveWeights;
     use crate::request::PlacementRequest;
@@ -302,6 +305,36 @@ mod tests {
             eg.u_star
         );
         assert!(ba_stats.eg_runs >= 1);
+    }
+
+    /// The request's effort counters cover its embedded EG runs too:
+    /// every scored host was scanned first, and with memoization on
+    /// every bound resolution is either a region hit or an evaluation.
+    #[test]
+    fn embedded_eg_runs_fold_their_scoring_effort() {
+        let topo = star_topology(5);
+        let inf = infra(3, 4);
+        let base = CapacityState::new(&inf);
+        let req = request();
+        let ctx = Ctx::new(&topo, &inf, &base, &req, vec![None; topo.node_count()]).unwrap();
+        let mut ba = SearchStats::default();
+        run_bastar(&ctx, &mut ba, 0).unwrap();
+        let mut dba = SearchStats::default();
+        crate::deadline::run_dbastar(&ctx, &mut dba, Duration::from_secs(5), 7, 0, 200).unwrap();
+        for (tag, stats) in [("BA*", ba), ("DBA*", dba)] {
+            assert!(stats.eg_runs >= 1, "{tag}");
+            assert!(
+                stats.candidates_scanned >= stats.heuristic_evals,
+                "{tag}: {} hosts scored but only {} scanned",
+                stats.heuristic_evals,
+                stats.candidates_scanned
+            );
+            assert_eq!(
+                stats.bound_cache_hits + stats.bound_cache_misses,
+                stats.heuristic_evals,
+                "{tag}: resolutions unaccounted for"
+            );
+        }
     }
 
     #[test]

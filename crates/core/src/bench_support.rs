@@ -85,11 +85,10 @@ pub fn expansion_cycles_delta(
 /// once — the inner loop of EG and of BA*'s upper-bound refreshes.
 /// Returns the candidate count so the work cannot be optimized away.
 ///
-/// `memoize` turns the heuristic-bound memo cache on (the engine's
-/// default) or off (the pre-memoization baseline); the cache starts
-/// cold on every call, so a single round only benefits from hosts
-/// sharing a group signature. `score_threads` follows the request
-/// semantics (0 = `available_parallelism`).
+/// `memoize` resolves the heuristic bounds once per decision region
+/// (the engine's default) or evaluates them per host (the reference).
+/// `score_threads` follows the request semantics
+/// (0 = `available_parallelism`).
 #[must_use]
 pub fn scoring_round(
     topo: &ApplicationTopology,

@@ -9,14 +9,21 @@
 //! hash state (promised bandwidth, co-located neighbors) fall back to
 //! the exact scalar screen — the sweep's decisions are bit-identical
 //! to filtering every host through [`admits`].
+//!
+//! Scoring resolves the round's §III-A2 bounds first, against regions
+//! instead of per host: [`lower_bound_mbps`] reports where each answer
+//! holds, and [`resolve_bounds`] — the one resolver — evaluates only
+//! the candidates no region of the round contains. The regions live
+//! for that round alone; there is no bound cache of any kind.
+//! `GetBest` (line 11) is [`pick_best`], a linear pass.
 
-use ostro_datacenter::{CapacityTable, FxHashMap, FxHashSet, HostId};
+use ostro_datacenter::{CapacityTable, HostId};
 use ostro_model::{DiversityLevel, NodeId, Proximity};
 
-use crate::heuristic::lower_bound_mbps;
+use crate::heuristic::{lower_bound_mbps, Region};
 use crate::placement::SearchStats;
 use crate::pool::lock_unpoisoned;
-use crate::search::{mix64, Ctx, Path, NO_GROUP};
+use crate::search::{Ctx, Path, NO_GROUP};
 
 /// A candidate host together with the utilities the objective needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -445,15 +452,15 @@ fn symmetry_floor(ctx: &Ctx<'_>, path: &Path<'_>, node: NodeId) -> u32 {
 /// computes the utility in parallel").
 ///
 /// With memoization on (the default), heuristic bounds are resolved
-/// first through the per-search cache — hosts sharing an overlay group
-/// signature resolve to one `lower_bound_mbps` call — and the
-/// remaining per-host work (probe + objective) is cheap enough that
-/// chunked dispatch only engages for large candidate sets.
+/// first by [`resolve_bounds`] — one §III-A2 evaluation per decision
+/// region of the round, not per host — and the remaining per-host work
+/// (probe + objective) is cheap enough that chunked dispatch only
+/// engages for large candidate sets.
 ///
 /// The output order — and therefore every downstream decision — is
-/// identical at any thread count and any cache state: chunk results
-/// are concatenated in chunk order (reproducing the serial host order
-/// exactly), and a cache hit returns the bit-exact bound a cold
+/// identical at any thread count and with memoization on or off: chunk
+/// results are concatenated in chunk order (reproducing the serial host
+/// order exactly), and a region serves the bit-exact bound a per-host
 /// evaluation would.
 #[cfg(test)]
 pub(crate) fn score_candidates(
@@ -481,18 +488,19 @@ pub(crate) fn score_candidates_into(
 ) {
     out.clear();
     stats.heuristic_evals += hosts.len() as u64;
-    let bounds = resolve_bounds(ctx, path, node, hosts, stats);
+    // The table lock is held for the whole round (workers read it
+    // through the guard's shared reborrow; only this thread ever locks),
+    // so bound resolution and every per-candidate probe read synced
+    // columns directly.
+    let mut table_guard = lock_unpoisoned(&ctx.table);
+    table_guard.sync(&path.overlay);
+    let table: &CapacityTable = &table_guard;
+    let bounds = resolve_bounds(ctx, path, node, hosts, table, stats);
     let bound_of = |i: usize| bounds.as_ref().map(|b| b[i]);
     // `new_hosts` is identical for every candidate (the candidate's own
     // activation is added per host below), so the O(placed) walk runs
     // once per round instead of once per host.
     let path_new_hosts = path.new_hosts();
-    // The table lock is held for the rest of the round (workers read it
-    // through the guard's shared reborrow; only this thread ever locks),
-    // so every per-candidate probe reads synced columns directly.
-    let mut table_guard = lock_unpoisoned(&ctx.table);
-    table_guard.sync(&path.overlay);
-    let table: &CapacityTable = &table_guard;
     let probe = ProbeCtx::new(ctx, path, node, table);
     let threads = ctx.score_threads;
     // Adaptive serial threshold: dispatch pays off only once every
@@ -523,191 +531,64 @@ pub(crate) fn score_candidates_into(
     }));
 }
 
-/// Resolves the heuristic lower bound for every candidate through the
-/// per-search memo cache, or returns `None` when memoization is off
-/// (bounds are then computed inline by [`score_one`], inside the
-/// parallel region).
+/// Resolves the heuristic lower bound for every candidate of one
+/// scoring round, or returns `None` when memoization is off (bounds are
+/// then evaluated per host by [`score_one`], inside the parallel
+/// region — the independent reference this resolver is tested against).
 ///
-/// Cache misses — one per *distinct* bound key, not per host — are
-/// computed through the pool when there are enough of them, each miss
-/// being a full §III-A2 evaluation and therefore coarse enough to
-/// claim individually.
+/// A candidate that already hosts part of the placement shares its slot
+/// with placed nodes, so it is evaluated directly (at most one per used
+/// host per round). Every other candidate is an untouched host whose
+/// bound depends on it only through its availability, read here from
+/// the synced `table` columns: it takes the bound of the [`Region`]
+/// containing that availability — the one that hit last is tried first,
+/// then the round's short list — and only a candidate no region
+/// contains is evaluated, appending the region it reports. The list
+/// lives for this round only; nothing is keyed, shared or kept.
 fn resolve_bounds(
     ctx: &Ctx<'_>,
     path: &Path<'_>,
     node: NodeId,
     hosts: &[HostId],
+    table: &CapacityTable,
     stats: &mut SearchStats,
 ) -> Option<Vec<u64>> {
-    if !ctx.memoize || !ctx.use_estimate {
+    if !ctx.memoize {
         return None;
     }
-    if let Some(shared) = ctx.session {
-        return Some(resolve_bounds_session(ctx, shared, path, node, hosts, stats));
-    }
-    // Group signatures come from the synced table's contiguous column —
-    // the same values `overlay.host_group_signature` computes, without
-    // a hash probe (and a fresh-host chain) per host.
-    let keys: Vec<(u32, u64)> = {
-        let mut table = lock_unpoisoned(&ctx.table);
-        table.sync(&path.overlay);
-        hosts.iter().map(|&h| Ctx::bound_key(node, path.signature, table.group_sig(h))).collect()
-    };
-    // A poisoned cache only ever holds fully-inserted entries; keep
-    // using it rather than aborting the whole search.
-    let mut cache = ctx.bound_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut seen: FxHashSet<(u32, u64)> = FxHashSet::default();
-    // One representative host index per unresolved key.
-    let misses: Vec<(usize, (u32, u64))> = keys
-        .iter()
-        .enumerate()
-        .filter(|&(_, key)| !cache.contains_key(key) && seen.insert(*key))
-        .map(|(i, &key)| (i, key))
-        .collect();
-    const PARALLEL_MISS_THRESHOLD: usize = 24;
-    if ctx.parallel && ctx.score_threads >= 2 && misses.len() >= PARALLEL_MISS_THRESHOLD {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = ctx.scoring_pool();
-        let computed: Vec<AtomicU64> = misses.iter().map(|_| AtomicU64::new(0)).collect();
-        pool.run(misses.len(), &|k| {
-            let (i, _) = misses[k];
-            computed[k].store(lower_bound_mbps(ctx, path, node, hosts[i]), Ordering::Relaxed);
-        });
-        for ((_, key), bound) in misses.iter().zip(&computed) {
-            cache.insert(*key, bound.load(Ordering::Relaxed));
-        }
-    } else {
-        for &(i, key) in &misses {
-            cache.insert(key, lower_bound_mbps(ctx, path, node, hosts[i]));
-        }
-    }
-    stats.bound_cache_misses += misses.len() as u64;
-    stats.bound_cache_hits += (hosts.len() - misses.len()) as u64;
-    Some(keys.iter().map(|key| cache[key]).collect())
-}
-
-/// Salt distinguishing "the candidate is slot `i` of the placement"
-/// from "the candidate is an unused host with availability signature
-/// `x`" in a session cache key.
-const SLOT_SALT: u64 = 0xC01D_CAFE_F00D_5EED;
-
-/// Session-mode bound resolution: the same values [`resolve_bounds`]
-/// produces, under keys that survive across requests.
-///
-/// The per-request cache keys placements by `path.signature` and hosts
-/// by overlay epoch — both meaningless outside one search. The session
-/// key re-expresses the *same inputs* purely by value, which is exactly
-/// the set [`lower_bound_mbps`] reads (see [`session_prefix`]): a
-/// stream of structurally identical tenants therefore resolves each
-/// bound once, ever, instead of once per request. Warm hits are
-/// bit-exact by construction — equal key ⇒ equal inputs ⇒ the same
-/// deterministic computation.
-fn resolve_bounds_session(
-    ctx: &Ctx<'_>,
-    shared: &crate::session::SessionShared,
-    path: &Path<'_>,
-    node: NodeId,
-    hosts: &[HostId],
-    stats: &mut SearchStats,
-) -> Vec<u64> {
-    let (prefix, slots) = session_prefix(ctx, path);
-    let node_idx = node.index() as u32;
-    let keys: Vec<(u32, u64)> = hosts
+    let mut used: Vec<HostId> = path.assignment.iter().flatten().copied().collect();
+    used.sort_unstable();
+    used.dedup();
+    let mut regions: Vec<Region> = Vec::new();
+    let mut last = 0;
+    let mut evaluated = 0u64;
+    let bounds = hosts
         .iter()
         .map(|&h| {
-            // A candidate already hosting part of this placement is
-            // identified by its slot position (its availability is in
-            // the prefix); an untouched candidate purely by value — the
-            // shared table is base-only, so its signature column is the
-            // availability-group signature — and every host of a group
-            // shares one entry.
-            let cand = match slots.iter().position(|&s| s == h) {
-                Some(slot) => mix64(SLOT_SALT ^ (slot as u64 + 1)),
-                None => shared.table.group_sig(h),
-            };
-            (node_idx, mix64(prefix ^ cand))
+            if used.binary_search(&h).is_ok() {
+                evaluated += 1;
+                return lower_bound_mbps(ctx, path, node, h, None);
+            }
+            let avail = table.available(h);
+            if !regions.get(last).is_some_and(|r| r.contains(avail)) {
+                last = match regions.iter().position(|r| r.contains(avail)) {
+                    Some(hit) => hit,
+                    None => {
+                        evaluated += 1;
+                        let mut region = Region::default();
+                        lower_bound_mbps(ctx, path, node, h, Some(&mut region));
+                        debug_assert!(region.contains(avail), "host outside its own region");
+                        regions.push(region);
+                        regions.len() - 1
+                    }
+                };
+            }
+            regions[last].bound
         })
         .collect();
-    let mut cache = lock_unpoisoned(&shared.cache);
-    let mut resolved: FxHashMap<(u32, u64), u64> = FxHashMap::default();
-    let mut seen: FxHashSet<(u32, u64)> = FxHashSet::default();
-    let mut warm_hits = 0u64;
-    // One representative host index per unresolved key.
-    let mut misses: Vec<(usize, (u32, u64))> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        match cache.get(key) {
-            Some((bound, warm)) => {
-                // Promotion keeps the writing generation, so every
-                // occurrence of a cross-request key counts warm.
-                warm_hits += u64::from(warm);
-                resolved.insert(key, bound);
-            }
-            None => {
-                if seen.insert(key) {
-                    misses.push((i, key));
-                }
-            }
-        }
-    }
-    const PARALLEL_MISS_THRESHOLD: usize = 24;
-    if ctx.parallel && ctx.score_threads >= 2 && misses.len() >= PARALLEL_MISS_THRESHOLD {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = ctx.scoring_pool();
-        let computed: Vec<AtomicU64> = misses.iter().map(|_| AtomicU64::new(0)).collect();
-        pool.run(misses.len(), &|k| {
-            let (i, _) = misses[k];
-            computed[k].store(lower_bound_mbps(ctx, path, node, hosts[i]), Ordering::Relaxed);
-        });
-        for (&(_, key), bound) in misses.iter().zip(&computed) {
-            let bound = bound.load(Ordering::Relaxed);
-            cache.insert(key, bound);
-            resolved.insert(key, bound);
-        }
-    } else {
-        for &(i, key) in &misses {
-            let bound = lower_bound_mbps(ctx, path, node, hosts[i]);
-            cache.insert(key, bound);
-            resolved.insert(key, bound);
-        }
-    }
-    // Per-call accounting matches the per-request cache (hits + misses
-    // = hosts scored); warm hits additionally count as session hits.
-    stats.bound_cache_misses += misses.len() as u64;
-    stats.bound_cache_hits += (hosts.len() - misses.len()) as u64;
-    stats.session_cache_misses += misses.len() as u64;
-    stats.session_cache_hits += warm_hits;
-    keys.iter().map(|key| resolved[key]).collect()
-}
-
-/// Value signature of everything [`lower_bound_mbps`] observes about
-/// `path`, plus the topology structure: the node → used-host-slot
-/// partition **in id order** (the heuristic seeds slots by scanning
-/// nodes in id order and breaks affinity ties toward lower slots, so
-/// slot order is significant) followed by each slot's exact remaining
-/// availability, in first-occurrence order. Returns the fold and the
-/// slot table for keying candidates.
-fn session_prefix(ctx: &Ctx<'_>, path: &Path<'_>) -> (u64, Vec<HostId>) {
-    let mut slots: Vec<HostId> = Vec::with_capacity(path.placed);
-    let mut h = ctx.topo_sig;
-    for (i, assigned) in path.assignment.iter().enumerate() {
-        if let Some(host) = *assigned {
-            let slot = match slots.iter().position(|&s| s == host) {
-                Some(slot) => slot,
-                None => {
-                    slots.push(host);
-                    slots.len() - 1
-                }
-            };
-            h = mix64(h ^ (((i as u64) << 32) | (slot as u64 + 1)));
-        }
-    }
-    for &host in &slots {
-        let avail = path.overlay.available(host);
-        h = mix64(h ^ u64::from(avail.vcpus));
-        h = mix64(h ^ avail.memory_mb);
-        h = mix64(h ^ avail.disk_gb);
-    }
-    (h, slots)
+    stats.bound_cache_misses += evaluated;
+    stats.bound_cache_hits += hosts.len() as u64 - evaluated;
+    Some(bounds)
 }
 
 /// The dense per-round flow screen: everything [`Path::probe`] reads,
@@ -863,7 +744,7 @@ fn score_one(
     let u_star = ctx.objective(ubw_child, new_hosts);
     let bound = match bound {
         Some(resolved) => resolved,
-        None if ctx.use_estimate => lower_bound_mbps(ctx, path, node, host),
+        None if ctx.use_estimate => lower_bound_mbps(ctx, path, node, host, None),
         None => 0,
     };
     let u_total = ctx.objective(ubw_child + bound, new_hosts);
@@ -872,18 +753,15 @@ fn score_one(
 
 /// `GetBest` (Alg. 1 line 11): the candidate minimizing the estimated
 /// total utility, tie-broken toward already-active hosts and then the
-/// lowest host index (deterministic).
-pub(crate) fn pick_best(path: &Path<'_>, scored: &[ScoredCandidate]) -> Option<ScoredCandidate> {
+/// lowest host index (deterministic). `active` is the synced table's
+/// activity column. The one place this order is written.
+pub(crate) fn pick_best(active: &[u8], scored: &[ScoredCandidate]) -> Option<ScoredCandidate> {
     scored
         .iter()
         .min_by(|a, b| {
             a.u_total
                 .total_cmp(&b.u_total)
-                .then_with(|| {
-                    let a_active = path.overlay.is_active(a.host);
-                    let b_active = path.overlay.is_active(b.host);
-                    b_active.cmp(&a_active)
-                })
+                .then_with(|| active[b.host.index()].cmp(&active[a.host.index()]))
                 .then_with(|| a.host.cmp(&b.host))
         })
         .copied()
@@ -1013,7 +891,7 @@ mod tests {
         let hosts = feasible_hosts(&ctx, &child, second);
         let mut stats = SearchStats::default();
         let scored = score_candidates(&ctx, &child, second, &hosts, &mut stats);
-        let best = pick_best(&child, &scored).unwrap();
+        let best = pick_best(&active_column(&ctx, &child), &scored).unwrap();
         assert_eq!(best.host, HostId::from_index(0));
         assert_eq!(best.added_ubw, 0);
         assert_eq!(stats.heuristic_evals, hosts.len() as u64);
@@ -1025,6 +903,13 @@ mod tests {
         let c = b.vm("c", 2, 2_048).unwrap();
         b.link(a, c, Bandwidth::from_mbps(100)).unwrap();
         b.build().unwrap()
+    }
+
+    /// The activity column [`pick_best`] reads, synced to `path`.
+    fn active_column(ctx: &Ctx<'_>, path: &Path<'_>) -> Vec<u8> {
+        let mut table = lock_unpoisoned(&ctx.table);
+        table.sync(&path.overlay);
+        table.active().to_vec()
     }
 
     #[test]
@@ -1055,50 +940,85 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A memoizing and a per-host-evaluating context over the same
+    /// instance: the region memo and the independent reference it must
+    /// equal bit for bit.
+    fn memo_and_reference<'a>(
+        topo: &'a ApplicationTopology,
+        infra: &'a Infrastructure,
+        base: &'a CapacityState,
+    ) -> (Ctx<'a>, Ctx<'a>) {
+        let mk = |memoize_bounds| {
+            let req = PlacementRequest {
+                memoize_bounds,
+                zone_symmetry: false,
+                ..PlacementRequest::default()
+            };
+            Ctx::new(topo, infra, base, &req, vec![None; topo.node_count()]).unwrap()
+        };
+        (mk(true), mk(false))
+    }
+
+    /// Scores one round both ways and asserts the region-resolved
+    /// candidates equal the per-host reference, with every resolution
+    /// accounted as a hit or an evaluation on the memo side and none on
+    /// the reference side. Returns the round and its evaluation count.
+    fn assert_round_matches_reference(
+        (ctx_m, path_m): (&Ctx<'_>, &Path<'_>),
+        (ctx_c, path_c): (&Ctx<'_>, &Path<'_>),
+        node: NodeId,
+        hosts: &[HostId],
+        what: &str,
+    ) -> (Vec<ScoredCandidate>, u64) {
+        let mut sm = SearchStats::default();
+        let mut sc = SearchStats::default();
+        let memo = score_candidates(ctx_m, path_m, node, hosts, &mut sm);
+        let reference = score_candidates(ctx_c, path_c, node, hosts, &mut sc);
+        assert_eq!(memo, reference, "{what}: region memo diverged from per-host bounds");
+        assert_eq!(sm.bound_cache_hits + sm.bound_cache_misses, hosts.len() as u64, "{what}");
+        assert_eq!(sm.heuristic_evals, hosts.len() as u64, "{what}");
+        assert_eq!(sc.bound_cache_hits + sc.bound_cache_misses, 0, "{what}");
+        (memo, sm.bound_cache_misses)
+    }
+
     #[test]
     fn memoized_scoring_matches_cold_cache_scoring() {
         let topo = topo_no_zone();
         let infra = infra();
         let base = CapacityState::new(&infra);
-        let mk = |memoize_bounds| PlacementRequest {
-            memoize_bounds,
-            zone_symmetry: false,
-            ..PlacementRequest::default()
-        };
-        let req_memo = mk(true);
-        let req_cold = mk(false);
-        let ctx_m = Ctx::new(&topo, &infra, &base, &req_memo, vec![None; 2]).unwrap();
-        let ctx_c = Ctx::new(&topo, &infra, &base, &req_cold, vec![None; 2]).unwrap();
+        let (ctx_m, ctx_c) = memo_and_reference(&topo, &infra, &base);
         let path_m = Path::empty(&ctx_m);
         let path_c = Path::empty(&ctx_c);
         let node = ctx_m.order[0];
         let hosts = feasible_hosts(&ctx_m, &path_m, node);
-        let mut sm = SearchStats::default();
-        let mut sc = SearchStats::default();
-        let warm = score_candidates(&ctx_m, &path_m, node, &hosts, &mut sm);
-        let cold = score_candidates(&ctx_c, &path_c, node, &hosts, &mut sc);
-        assert_eq!(warm, cold);
-        // Every resolution is accounted as a hit or a miss with memo
-        // on; the cold run keeps both counters at zero.
-        assert_eq!(sm.bound_cache_hits + sm.bound_cache_misses, hosts.len() as u64);
-        assert!(sm.bound_cache_misses >= 1);
-        assert_eq!(sc.bound_cache_hits + sc.bound_cache_misses, 0);
-        // All eight hosts are untouched with identical base
-        // availability: one group, one heuristic evaluation.
-        assert_eq!(sm.bound_cache_misses, 1);
-        // A second round is fully cache-served and still identical.
-        let mut sm2 = SearchStats::default();
-        let again = score_candidates(&ctx_m, &path_m, node, &hosts, &mut sm2);
-        assert_eq!(again, warm);
-        assert_eq!(sm2.bound_cache_misses, 0);
-        assert_eq!(sm2.bound_cache_hits, hosts.len() as u64);
+        let (first, evaluated) = assert_round_matches_reference(
+            (&ctx_m, &path_m),
+            (&ctx_c, &path_c),
+            node,
+            &hosts,
+            "empty path",
+        );
+        // All eight hosts are untouched with identical availability:
+        // one region, one heuristic evaluation.
+        assert_eq!(evaluated, 1);
+        // Regions live for one round: a second round evaluates again
+        // and still lands on the same candidates.
+        let (again, evaluated) = assert_round_matches_reference(
+            (&ctx_m, &path_m),
+            (&ctx_c, &path_c),
+            node,
+            &hosts,
+            "second round",
+        );
+        assert_eq!(again, first);
+        assert_eq!(evaluated, 1);
     }
 
-    /// The satellite property test: over random small topologies, a
-    /// search that places, descends, rolls back via [`PlacedMark`]
-    /// undo, and re-scores must produce bounds identical to a
-    /// cold-cache run — i.e. rollback restores every cache key (the
-    /// path signature and the overlay group epochs) exactly.
+    /// Over random small topologies, a search that places, descends,
+    /// rolls back via [`PlacedMark`] undo, and re-scores must produce
+    /// the scores it produced before the detour, and every round —
+    /// before, inside and after the detour — must equal the per-host
+    /// reference: nothing a round resolved outlives it.
     ///
     /// [`PlacedMark`]: crate::search::PlacedMark
     #[test]
@@ -1126,15 +1046,7 @@ mod tests {
             let topo = b.build().unwrap();
             let infra = infra();
             let base = CapacityState::new(&infra);
-            let mk = |memoize_bounds| PlacementRequest {
-                memoize_bounds,
-                zone_symmetry: false,
-                ..PlacementRequest::default()
-            };
-            let req_memo = mk(true);
-            let req_cold = mk(false);
-            let ctx_m = Ctx::new(&topo, &infra, &base, &req_memo, vec![None; n]).unwrap();
-            let ctx_c = Ctx::new(&topo, &infra, &base, &req_cold, vec![None; n]).unwrap();
+            let (ctx_m, ctx_c) = memo_and_reference(&topo, &infra, &base);
             let mut warm = Path::empty(&ctx_m);
             let mut cold = Path::empty(&ctx_c);
             while let Some(node) = warm.next_node(&ctx_m) {
@@ -1142,35 +1054,191 @@ mod tests {
                 if hosts.is_empty() {
                     break;
                 }
-                let mut stats = SearchStats::default();
-                let first = score_candidates(&ctx_m, &warm, node, &hosts, &mut stats);
+                let what = format!("trial {trial} node {node}");
+                let (first, _) = assert_round_matches_reference(
+                    (&ctx_m, &warm),
+                    (&ctx_c, &cold),
+                    node,
+                    &hosts,
+                    &what,
+                );
                 // Detour: place on a random feasible host, score the
-                // *next* node down there (seeding cache entries at the
-                // deeper signature and bumped host epochs), roll back.
+                // *next* node down there, roll back.
                 let detour_host = hosts[rng.gen_range(0usize..hosts.len())];
                 if let Some(mark) = warm.place_mut(&ctx_m, node, detour_host) {
+                    let cold_mark = cold.place_mut(&ctx_c, node, detour_host).unwrap();
                     if let Some(next) = warm.next_node(&ctx_m) {
                         let deeper = feasible_hosts(&ctx_m, &warm, next);
-                        let mut s = SearchStats::default();
-                        score_candidates(&ctx_m, &warm, next, &deeper, &mut s);
+                        assert_round_matches_reference(
+                            (&ctx_m, &warm),
+                            (&ctx_c, &cold),
+                            next,
+                            &deeper,
+                            &format!("{what} detour"),
+                        );
                     }
                     warm.undo(mark);
+                    cold.undo(cold_mark);
                 }
-                // Re-scoring after the rollback hits only valid cache
-                // entries: identical output, zero fresh evaluations.
-                let mut stats2 = SearchStats::default();
-                let rescored = score_candidates(&ctx_m, &warm, node, &hosts, &mut stats2);
-                assert_eq!(rescored, first, "trial {trial}: rollback changed scores");
-                assert_eq!(stats2.bound_cache_misses, 0, "trial {trial}: stale keys after undo");
-                // And the whole round agrees with a cold-cache engine.
-                let mut cold_stats = SearchStats::default();
-                let cold_scored = score_candidates(&ctx_c, &cold, node, &hosts, &mut cold_stats);
-                assert_eq!(cold_scored, first, "trial {trial}: memo diverged from cold cache");
-                let Some(best) = pick_best(&warm, &first) else { break };
+                let (rescored, _) = assert_round_matches_reference(
+                    (&ctx_m, &warm),
+                    (&ctx_c, &cold),
+                    node,
+                    &hosts,
+                    &format!("{what} after undo"),
+                );
+                assert_eq!(rescored, first, "{what}: rollback changed scores");
+                let Some(best) = pick_best(&active_column(&ctx_m, &warm), &first) else { break };
                 warm.place_mut(&ctx_m, node, best.host).unwrap();
                 cold.place_mut(&ctx_c, node, best.host).unwrap();
             }
         }
+    }
+
+    /// The region memo's exactness property, where it is hardest: VM
+    /// sizes differ, `Host`/`Rack` zones forbid slots, and every host's
+    /// free capacity sits exactly on, one unit above or one unit below
+    /// a multiple of a VM size — so fit tests flip between neighbouring
+    /// hosts. Along a random place / descend / undo walk, at every step:
+    /// the region-resolved round equals the per-host reference; every
+    /// evaluated availability lies inside the region it produced; and
+    /// every other untouched candidate inside that region evaluates to
+    /// the region's bound on its own.
+    #[test]
+    fn region_memo_matches_per_host_bounds_on_boundary_capacities() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const VCPUS: [u32; 3] = [1, 2, 4];
+        const MEMORY_MB: [u64; 3] = [1_024, 2_048, 3_072];
+        const DISK_GB: [u64; 3] = [0, 10, 40];
+        let mut rng = SmallRng::seed_from_u64(0x2E61_0BED);
+        let capacity = Resources::new(16, 32_768, 500);
+        let infra = InfrastructureBuilder::flat(
+            "dc",
+            3,
+            6,
+            capacity,
+            Bandwidth::from_gbps(10),
+            Bandwidth::from_gbps(100),
+        )
+        .build()
+        .unwrap();
+        let mut evaluated_total = 0u64;
+        let mut resolved_total = 0u64;
+        for trial in 0u64..30 {
+            let mut b = TopologyBuilder::new(format!("t{trial}"));
+            let n = rng.gen_range(3usize..9);
+            let ids: Vec<_> = (0..n)
+                .map(|i| {
+                    let vm = b
+                        .vm(
+                            format!("v{i}"),
+                            VCPUS[rng.gen_range(0usize..3)],
+                            MEMORY_MB[rng.gen_range(0usize..3)],
+                        )
+                        .unwrap();
+                    let disk = DISK_GB[rng.gen_range(0usize..3)];
+                    if disk > 0 {
+                        let vol = b.volume(format!("d{i}"), disk).unwrap();
+                        b.link(vm, vol, Bandwidth::from_mbps(rng.gen_range(10u64..100))).unwrap();
+                    }
+                    vm
+                })
+                .collect();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if rng.gen_bool(0.4) {
+                        b.link(ids[i], ids[j], Bandwidth::from_mbps(rng.gen_range(10u64..200)))
+                            .unwrap();
+                    }
+                }
+            }
+            for z in 0..rng.gen_range(0usize..3) {
+                let level =
+                    if rng.gen_bool(0.5) { DiversityLevel::Host } else { DiversityLevel::Rack };
+                let members: Vec<_> =
+                    ids.iter().copied().filter(|_| rng.gen_bool(0.5)).take(3).collect();
+                if members.len() >= 2 {
+                    b.diversity_zone(format!("z{z}"), level, &members).unwrap();
+                }
+            }
+            let topo = b.build().unwrap();
+            // Free capacity per host: a multiple of a VM size, nudged
+            // by -1 / 0 / +1 in each dimension.
+            let mut base = CapacityState::new(&infra);
+            for host in infra.hosts() {
+                let mut near_multiple = |sizes: &[u64], cap: u64| {
+                    let multiple = sizes[rng.gen_range(0..sizes.len())] * rng.gen_range(0u64..6);
+                    (multiple + rng.gen_range(0u64..3)).saturating_sub(1).min(cap)
+                };
+                let free = Resources::new(
+                    near_multiple(&VCPUS.map(u64::from), u64::from(capacity.vcpus)) as u32,
+                    near_multiple(&MEMORY_MB, capacity.memory_mb),
+                    near_multiple(&DISK_GB[1..], capacity.disk_gb),
+                );
+                base.reserve_node(host.id(), capacity - free).unwrap();
+            }
+            let (ctx_m, ctx_c) = memo_and_reference(&topo, &infra, &base);
+            let mut memo = Path::empty(&ctx_m);
+            let mut reference = Path::empty(&ctx_c);
+            let mut marks = Vec::new();
+            for step in 0..40 {
+                let what = format!("trial {trial} step {step}");
+                let Some(node) = memo.next_node(&ctx_m) else {
+                    let Some((m, c)) = marks.pop() else { break };
+                    memo.undo(m);
+                    reference.undo(c);
+                    continue;
+                };
+                let hosts = feasible_hosts(&ctx_m, &memo, node);
+                let (_, evaluated) = assert_round_matches_reference(
+                    (&ctx_m, &memo),
+                    (&ctx_c, &reference),
+                    node,
+                    &hosts,
+                    &what,
+                );
+                evaluated_total += evaluated;
+                resolved_total += hosts.len() as u64;
+                let untouched: Vec<HostId> = hosts
+                    .iter()
+                    .copied()
+                    .filter(|h| !memo.assignment.contains(&Some(*h)))
+                    .collect();
+                for &h in &untouched {
+                    let mut region = Region::default();
+                    lower_bound_mbps(&ctx_m, &memo, node, h, Some(&mut region));
+                    assert!(
+                        region.contains(memo.overlay.available(h)),
+                        "{what}: host {h} evaluated outside its own region"
+                    );
+                    for &other in &untouched {
+                        if region.contains(memo.overlay.available(other)) {
+                            assert_eq!(
+                                lower_bound_mbps(&ctx_c, &reference, node, other, None),
+                                region.bound,
+                                "{what}: host {other} is inside host {h}'s region"
+                            );
+                        }
+                    }
+                }
+                if !hosts.is_empty() && rng.gen_bool(0.7) {
+                    let host = hosts[rng.gen_range(0usize..hosts.len())];
+                    if let Some(m) = memo.place_mut(&ctx_m, node, host) {
+                        marks.push((m, reference.place_mut(&ctx_c, node, host).unwrap()));
+                        continue;
+                    }
+                }
+                if let Some((m, c)) = marks.pop() {
+                    memo.undo(m);
+                    reference.undo(c);
+                }
+            }
+        }
+        // The walk must actually exercise sharing, not degenerate into
+        // one evaluation per host.
+        assert!(resolved_total > 1_000, "walk too short: {resolved_total}");
+        assert!(evaluated_total < resolved_total, "{evaluated_total} of {resolved_total}");
     }
 
     /// Scalar reference for the SoA sweep: the pre-vectorization
@@ -1208,9 +1276,7 @@ mod tests {
     /// with zones, latency bounds, and tight NICs, the mask sweep must
     /// enumerate exactly the hosts (and the exact symmetry-skip count)
     /// the all-scalar screen does, at every point of a random
-    /// place/undo churn walk — and the shadowing capacity table's
-    /// group-signature column must stay bit-identical to the overlay's
-    /// hash-path signatures across those rollbacks.
+    /// place/undo churn walk.
     #[test]
     fn soa_sweep_matches_scalar_reference_under_churn() {
         use rand::rngs::SmallRng;
@@ -1289,17 +1355,6 @@ mod tests {
                         "trial {trial} step {step}: symmetry-skip count diverged"
                     );
                     assert_eq!(stats.candidates_scanned, infra.host_count() as u64);
-                    {
-                        let mut table = lock_unpoisoned(&ctx.table);
-                        table.sync(&path.overlay);
-                        for h in infra.hosts() {
-                            assert_eq!(
-                                table.group_sig(h.id()),
-                                path.overlay.host_group_signature(h.id()),
-                                "trial {trial} step {step}: group signature column stale"
-                            );
-                        }
-                    }
                     if !ref_hosts.is_empty() && rng.gen_bool(0.7) {
                         let host = ref_hosts[rng.gen_range(0usize..ref_hosts.len())];
                         if let Some(mark) = path.place_mut(&ctx, node, host) {

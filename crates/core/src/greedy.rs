@@ -2,13 +2,15 @@
 //!
 //! Nodes are placed one at a time in descending relative-weight order;
 //! for each node every candidate host is scored with the accumulated
-//! utility plus the heuristic lower bound, and the best is taken.
+//! utility plus the heuristic lower bound, and the best is taken
+//! (`GetBest`, a linear pass — the candidates are never sorted).
 
 use ostro_datacenter::HostId;
 
 use crate::candidates::{feasible_hosts_into, pick_best, score_candidates_into, CandidateScratch};
 use crate::error::PlacementError;
 use crate::placement::SearchStats;
+use crate::pool::lock_unpoisoned;
 use crate::search::{Ctx, Path};
 
 /// Builds the root path by applying pinned assignments (empty when no
@@ -93,26 +95,23 @@ pub(crate) fn run_eg_capped<'a>(
         score_candidates_into(ctx, &path, node, hosts, stats, scored);
         stats.expanded += 1;
         stats.generated += scored.len() as u64;
-        if scored.is_empty() {
-            return Err(infeasible());
-        }
-        // Try candidates best-first: the per-edge probe is necessary
+        // `GetBest`: one linear pass. The per-edge probe is necessary
         // but not sufficient, so materialization can still fail when
-        // several flows share a saturated link.
-        scored.sort_by(|a, b| {
-            a.u_total
-                .total_cmp(&b.u_total)
-                .then_with(|| {
-                    let a_active = path.overlay.is_active(a.host);
-                    let b_active = path.overlay.is_active(b.host);
-                    b_active.cmp(&a_active)
-                })
-                .then_with(|| a.host.cmp(&b.host))
-        });
-        debug_assert_eq!(scored.first().copied(), pick_best(&path, scored));
-        // place_mut self-reverts on failure, so the path stays valid
-        // for the next candidate — no clone per attempt.
-        let placed = scored.iter().any(|cand| path.place_mut(ctx, node, cand.host).is_some());
+        // several flows share a saturated link; only then is the pass
+        // repeated over the hosts not yet tried. `place_mut`
+        // self-reverts on failure, so the path — and the activity
+        // column synced to it by the scoring round — stays valid for
+        // the next attempt.
+        let placed = {
+            let table = lock_unpoisoned(&ctx.table);
+            loop {
+                let Some(best) = pick_best(table.active(), scored) else { break false };
+                if path.place_mut(ctx, node, best.host).is_some() {
+                    break true;
+                }
+                scored.retain(|cand| cand.host != best.host);
+            }
+        };
         if !placed {
             return Err(infeasible());
         }

@@ -15,6 +15,25 @@
 //!   costs nothing;
 //! * a split edge costs its bandwidth times the *cheapest* hop cost
 //!   compatible with the diversity constraints between its endpoints.
+//!
+//! # Regions: where one evaluation's answer holds
+//!
+//! The evaluator never consults host *identity* — only availabilities
+//! and minimum separation costs. For a candidate host that carries no
+//! node of the placement yet, it reads the candidate's availability `A`
+//! only through `vreq.fits_within(avail[slot])` tests on the
+//! candidate's own slot, and each such test is `used + vreq ≤ A` for a
+//! `used` fixed by the outcomes before it. The bound is therefore
+//! piecewise constant in `A`, and an evaluation can report the piece it
+//! landed in as a [`Region`]: `lo`, the componentwise max of
+//! `used + vreq` over every test that passed (starting from the node's
+//! own requirement), and `fails`, the `used + vreq` of every test that
+//! failed. Another untouched candidate with availability `B` passes and
+//! fails exactly the same tests — hence reproduces every slot
+//! assignment and the bound bit for bit — iff `lo ≤ B` and no
+//! `T ∈ fails` has `T ≤ B`. That is an equality of computations, not a
+//! hash of their inputs, so a scoring round can resolve its candidates
+//! against a short list of regions with no key and no cache.
 
 use std::cell::RefCell;
 
@@ -75,12 +94,56 @@ fn slot_for(
     s
 }
 
+/// The piece of availability space on which one evaluation's answer
+/// holds (see the module docs): every untouched candidate whose
+/// availability the region [`contains`](Region::contains) gets exactly
+/// `bound`.
+#[derive(Debug, Default)]
+pub(crate) struct Region {
+    /// Componentwise max of `used + vreq` over the passed fit tests on
+    /// the candidate's slot, starting from the node's own requirement.
+    lo: Resources,
+    /// `used + vreq` of the failed fit tests, minimal ones only (a
+    /// failure implied by a smaller one adds no constraint).
+    fails: Vec<Resources>,
+    /// The bound the evaluation returned.
+    pub bound: u64,
+}
+
+impl Region {
+    /// Whether an untouched candidate with availability `avail` repeats
+    /// every fit outcome of the evaluation that produced this region.
+    pub(crate) fn contains(&self, avail: Resources) -> bool {
+        self.lo.fits_within(&avail) && !self.fails.iter().any(|t| t.fits_within(&avail))
+    }
+
+    /// Records one fit test `need ≤ A` on the candidate's slot.
+    fn note(&mut self, need: Resources, fits: bool) {
+        if fits {
+            self.lo = self.lo.max(need);
+        } else if !self.fails.iter().any(|t| t.fits_within(&need)) {
+            self.fails.retain(|t| !need.fits_within(t));
+            self.fails.push(need);
+        }
+    }
+}
+
 /// Estimates the hop-weighted Mbps still to be reserved after `path`
 /// hypothetically places `node` on `host` (`GetHeuristic(vi, hj, ...)`).
-pub(crate) fn lower_bound_mbps(ctx: &Ctx<'_>, path: &Path<'_>, node: NodeId, host: HostId) -> u64 {
+///
+/// With `region` set — meaningful only for a `host` that carries no
+/// node of `path` yet — the evaluation also reports the [`Region`] of
+/// candidate availabilities that share its answer.
+pub(crate) fn lower_bound_mbps(
+    ctx: &Ctx<'_>,
+    path: &Path<'_>,
+    node: NodeId,
+    host: HostId,
+    region: Option<&mut Region>,
+) -> u64 {
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
-        lower_bound_mbps_with(ctx, path, node, host, scratch)
+        lower_bound_mbps_with(ctx, path, node, host, region, scratch)
     })
 }
 
@@ -89,6 +152,7 @@ fn lower_bound_mbps_with(
     path: &Path<'_>,
     node: NodeId,
     host: HostId,
+    mut region: Option<&mut Region>,
     scratch: &mut Scratch,
 ) -> u64 {
     let n = ctx.topo.node_count();
@@ -119,7 +183,7 @@ fn lower_bound_mbps_with(
             scratch.of_node[placed.id().index()] = s;
         }
     }
-    let s = slot_for(
+    let cand = slot_for(
         &mut scratch.avail,
         &mut scratch.slot_of_host,
         &mut scratch.slot_hosts,
@@ -127,8 +191,16 @@ fn lower_bound_mbps_with(
         host,
     );
     let req = ctx.topo.node(node).requirements();
-    scratch.avail[s as usize] = scratch.avail[s as usize].saturating_sub(req);
-    scratch.of_node[node.index()] = s;
+    scratch.avail[cand as usize] = scratch.avail[cand as usize].saturating_sub(req);
+    scratch.of_node[node.index()] = cand;
+    // What this evaluation has put on the candidate's slot so far: a
+    // fit test there reads the candidate's availability `A` as
+    // `cand_used + vreq ≤ A`.
+    let mut cand_used = req;
+    if let Some(r) = region.as_deref_mut() {
+        r.lo = req;
+        r.fails.clear();
+    }
 
     // Approximately place the remaining nodes, heaviest bandwidth
     // first, co-locating each with the slot it is most linked to.
@@ -165,7 +237,13 @@ fn lower_bound_mbps_with(
                     }
                 }
             }
-            if !vreq.fits_within(&scratch.avail[s as usize]) {
+            let fits = vreq.fits_within(&scratch.avail[s as usize]);
+            if s == cand {
+                if let Some(r) = region.as_deref_mut() {
+                    r.note(cand_used + vreq, fits);
+                }
+            }
+            if !fits {
                 continue;
             }
             let score = scratch.affinity[s as usize];
@@ -192,6 +270,9 @@ fn lower_bound_mbps_with(
         };
         scratch.avail[dest as usize] = scratch.avail[dest as usize].saturating_sub(vreq);
         scratch.of_node[v.index()] = dest;
+        if dest == cand {
+            cand_used += vreq;
+        }
     }
 
     // Cost every edge not already paid for by the placed prefix. The
@@ -211,6 +292,9 @@ fn lower_bound_mbps_with(
             continue;
         }
         bound += link.bandwidth().as_mbps() * hop;
+    }
+    if let Some(r) = region {
+        r.bound = bound;
     }
     bound
 }
@@ -261,7 +345,7 @@ mod tests {
         let first = ctx.order[0];
         // All three VMs fit on one host, all linked -> everything
         // gravitates to the same slot, bound = 0.
-        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0)), 0);
+        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0), None), 0);
     }
 
     #[test]
@@ -280,7 +364,7 @@ mod tests {
         let first = ctx.order[0];
         // The rack-level zone forces the 100 Mbps edge across racks:
         // at least 4 hops.
-        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0)), 400);
+        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0), None), 400);
     }
 
     #[test]
@@ -298,7 +382,7 @@ mod tests {
         let first = ctx.order[0];
         // The second VM cannot fit next to the first: split across
         // hosts at min cost 2 hops => 100.
-        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0)), 100);
+        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0), None), 100);
     }
 
     #[test]
@@ -319,14 +403,13 @@ mod tests {
         let ctx = ctx_for(&topo, &infra, &base, &req);
         let path = Path::empty(&ctx);
         let first = ctx.order[0];
-        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0)), 0);
+        assert_eq!(lower_bound_mbps(&ctx, &path, first, HostId::from_index(0), None), 0);
     }
 
-    /// The invariant the memo cache rests on: the bound never consults
+    /// The invariant the region memo rests on: the bound never consults
     /// host *identity* — only availabilities and minimum separation
     /// costs — so two candidate hosts that are unused by the path and
     /// expose the same available capacity yield bit-identical bounds.
-    /// (This is what lets one cache entry serve a whole host group.)
     #[test]
     fn equal_availability_unused_hosts_share_the_exact_bound() {
         let mut b = TopologyBuilder::new("t");
@@ -348,16 +431,60 @@ mod tests {
         // Every fresh host (1..8) is untouched with identical base
         // availability: the candidate bound must not depend on which
         // one we probe, across racks included.
-        let reference = lower_bound_mbps(&ctx, &path, node, HostId::from_index(1));
+        let reference = lower_bound_mbps(&ctx, &path, node, HostId::from_index(1), None);
         for i in 2..8 {
             assert_eq!(
-                lower_bound_mbps(&ctx, &path, node, HostId::from_index(i)),
+                lower_bound_mbps(&ctx, &path, node, HostId::from_index(i), None),
                 reference,
                 "host {i} diverged from the group bound"
             );
         }
-        // The used host has different availability and may differ; it
-        // gets its own epoch-keyed cache entry, so no assertion here.
+        // The used host's slot also carries the placed node, so it is
+        // evaluated on its own; no assertion here.
+    }
+
+    /// A region is cut exactly where a fit test flips: one unit of the
+    /// binding resource below the threshold lands in a different region
+    /// with a different bound, anything at or above it shares the
+    /// evaluated host's.
+    #[test]
+    fn region_boundary_sits_on_the_flipping_fit_test() {
+        let mut b = TopologyBuilder::new("t");
+        let a = b.vm("a", 2, 2_048).unwrap();
+        let c = b.vm("c", 2, 2_048).unwrap();
+        b.link(a, c, Bandwidth::from_mbps(100)).unwrap();
+        let topo = b.build().unwrap();
+        let infra = infra();
+        let mut base = CapacityState::new(&infra);
+        // Host 1 has room for exactly both VMs, host 2 is one vCPU
+        // short of that, host 3 one MB short.
+        base.reserve_node(HostId::from_index(1), Resources::new(4, 12_288, 0)).unwrap();
+        base.reserve_node(HostId::from_index(2), Resources::new(5, 12_288, 0)).unwrap();
+        base.reserve_node(HostId::from_index(3), Resources::new(4, 12_289, 0)).unwrap();
+        let req = PlacementRequest::default();
+        let ctx = ctx_for(&topo, &infra, &base, &req);
+        let path = Path::empty(&ctx);
+        let first = ctx.order[0];
+        let eval = |i: u32| {
+            let mut region = Region::default();
+            let bound =
+                lower_bound_mbps(&ctx, &path, first, HostId::from_index(i), Some(&mut region));
+            assert_eq!(bound, region.bound);
+            assert!(region.contains(base.available(HostId::from_index(i))), "host {i}");
+            region
+        };
+        let roomy = eval(0);
+        let exact = eval(1);
+        assert_eq!(roomy.bound, 0);
+        assert_eq!(exact.bound, 0);
+        assert!(roomy.contains(base.available(HostId::from_index(1))), "same outcomes");
+        for short in [2, 3] {
+            let tight = eval(short);
+            assert_eq!(tight.bound, 200, "host {short}: the pair must split");
+            let avail = base.available(HostId::from_index(short));
+            assert!(!roomy.contains(avail) && !exact.contains(avail), "host {short}");
+            assert!(!tight.contains(base.available(HostId::from_index(1))));
+        }
     }
 
     #[test]
@@ -374,6 +501,6 @@ mod tests {
         let ctx = ctx_for(&topo, &infra, &base, &req);
         let path = Path::empty(&ctx);
         // No links at all: bound must be zero (imaginary hosts are free).
-        assert_eq!(lower_bound_mbps(&ctx, &path, a, HostId::from_index(0)), 0);
+        assert_eq!(lower_bound_mbps(&ctx, &path, a, HostId::from_index(0), None), 0);
     }
 }

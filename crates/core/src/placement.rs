@@ -92,27 +92,25 @@ pub struct SearchStats {
     /// probing ran.
     #[serde(default)]
     pub candidates_pruned_simd: u64,
-    /// Of those, resolutions served from the per-search memo cache
-    /// (including hosts sharing a group signature within one scoring
-    /// round). Absent in pre-memoization stats dumps.
+    /// Of those resolutions, the ones served by a region another
+    /// candidate of the same scoring round had already evaluated (see
+    /// the `heuristic` module). Zero with `memoize_bounds: false`.
+    /// Absent in pre-memoization stats dumps.
     #[serde(default)]
     pub bound_cache_hits: u64,
-    /// Of those, resolutions that actually ran `lower_bound_mbps`.
+    /// Of those resolutions, the ones that ran the §III-A2 evaluation.
+    /// Zero with `memoize_bounds: false` (every resolution evaluates,
+    /// uncounted).
     #[serde(default)]
     pub bound_cache_misses: u64,
-    /// Session-mode only: resolutions served by a cache entry written
-    /// by an *earlier* request of the same
-    /// [`SchedulerSession`](crate::session::SchedulerSession) — the
-    /// cross-request reuse the session exists for.
+    /// Retired with the cross-request bound cache: always zero, kept
+    /// pending a `benchmark` issue because `e2e` still reads it.
     #[serde(default)]
     pub session_cache_hits: u64,
-    /// Session-mode only: distinct bound keys this request had to
-    /// compute fresh (in-request duplicates of a fresh key count as
-    /// `bound_cache_hits`, as in per-request mode).
+    /// Retired, always zero (see `session_cache_hits`).
     #[serde(default)]
     pub session_cache_misses: u64,
-    /// Session-mode only: cache entries discarded by generation
-    /// rotation while serving this request.
+    /// Retired, always zero (see `session_cache_hits`).
     #[serde(default)]
     pub session_cache_evictions: u64,
     /// Session-mode only: hosts re-resolved from the dirty-host
@@ -168,6 +166,22 @@ pub struct SearchStats {
     /// instead of the algorithm the caller asked for).
     #[serde(default)]
     pub degraded: bool,
+}
+
+impl SearchStats {
+    /// Folds the candidate-scoring effort of a nested search — an EG run
+    /// embedded in BA\*/DBA\*, or one pod of a sharded request — into
+    /// `self`, so the sweep and bound counters of a request share one
+    /// denominator. `expanded` / `generated` are not effort in this
+    /// sense (they count A\* expansions and steer DBA\*'s controller)
+    /// and stay with the caller.
+    pub(crate) fn fold_scoring_effort(&mut self, from: &SearchStats) {
+        self.heuristic_evals += from.heuristic_evals;
+        self.candidates_scanned += from.candidates_scanned;
+        self.candidates_pruned_simd += from.candidates_pruned_simd;
+        self.bound_cache_hits += from.bound_cache_hits;
+        self.bound_cache_misses += from.bound_cache_misses;
+    }
 }
 
 /// The result of one placement request: the decision plus the resource

@@ -80,11 +80,11 @@ pub struct PlacementRequest {
     /// default) resolves to `std::thread::available_parallelism`.
     #[serde(default)]
     pub score_threads: usize,
-    /// Memoize heuristic lower bounds across expansions, keyed by
-    /// (node, placement signature, host-group signature); rollback
-    /// restores the keys, so entries stay valid across backtracking.
-    /// Disabling recomputes every bound from scratch (the throughput
-    /// benchmark's baseline).
+    /// Resolve each scoring round's heuristic lower bounds once per
+    /// decision region (exact; see the `heuristic` module) instead of
+    /// once per candidate host. Disabling evaluates every bound per
+    /// host — the independent reference the region memo is tested
+    /// against, and the kernel benchmark's baseline.
     #[serde(default = "default_memoize_bounds")]
     pub memoize_bounds: bool,
     /// Cache budget, in bytes, for one parallel-scoring chunk's working

@@ -108,9 +108,9 @@ impl<'a> Scheduler<'a> {
     }
 
     /// [`place_pinned`](Self::place_pinned) with optional session
-    /// state attached: the search then resolves heuristic bounds
-    /// through the session's cross-request cache and sweeps
-    /// candidates over a clone of its capacity table. `state` must be
+    /// state attached: the search then sweeps candidates over a clone
+    /// of the session's capacity table and scores them on its
+    /// persistent pool. `state` must be
     /// the session's own state — the table mirrors it.
     pub(crate) fn place_pinned_with(
         &self,
@@ -352,9 +352,9 @@ mod tests {
         ));
     }
 
-    /// The PR's acceptance pin: parallel chunked dispatch plus the
-    /// heuristic memo cache picks placements bit-identical to the
-    /// serial cold-cache engine, across every search algorithm.
+    /// The acceptance pin: parallel chunked dispatch plus the region
+    /// memo picks placements bit-identical to the serial per-host
+    /// engine, across every search algorithm.
     #[test]
     fn parallel_cached_scoring_is_bit_identical_to_serial_cold_cache() {
         // 128 hosts: enough feasible candidates that the parallel path
@@ -410,7 +410,7 @@ mod tests {
             assert_eq!(a.reserved_bandwidth, b.reserved_bandwidth, "{algorithm:?}: bandwidth");
             assert_eq!(a.hosts_used, b.hosts_used, "{algorithm:?}: hosts");
             assert_eq!(a.stats.heuristic_evals, b.stats.heuristic_evals, "{algorithm:?}: evals");
-            assert!(a.stats.bound_cache_hits > 0, "{algorithm:?}: cache never engaged");
+            assert!(a.stats.bound_cache_hits > 0, "{algorithm:?}: no region was shared");
             assert_eq!(b.stats.bound_cache_hits + b.stats.bound_cache_misses, 0);
         }
     }

@@ -1,5 +1,7 @@
 //! Shared search state: the per-request context and the partial
-//! placement paths the algorithms branch over.
+//! placement paths the algorithms branch over. The context carries no
+//! heuristic-bound state — a scoring round resolves its bounds against
+//! its own region list (`candidates::resolve_bounds`) and drops it.
 
 use std::sync::OnceLock;
 
@@ -105,16 +107,9 @@ pub(crate) struct Ctx<'a> {
     /// Resolved scoring participant count (request knob, or
     /// `available_parallelism` when the request said 0).
     pub score_threads: usize,
-    /// Whether heuristic bounds are memoized in [`Ctx::bound_cache`].
+    /// Whether a scoring round resolves its heuristic bounds once per
+    /// decision region (`true`) or evaluates them per host (`false`).
     pub memoize: bool,
-    /// Per-search heuristic lower-bound memo: `(node, key)` → bound,
-    /// where `key` folds the path's placement signature together with
-    /// the candidate host's overlay group signature. Both components
-    /// are restored exactly on rollback (the signature by
-    /// [`Path::undo`], the group epoch by the overlay journal), so an
-    /// entry written before a backtrack is still valid after it —
-    /// every hit returns exactly what a cold evaluation would.
-    pub(crate) bound_cache: std::sync::Mutex<FxHashMap<(u32, u64), u64>>,
     /// Persistent scoring workers, created lazily on the first
     /// over-threshold candidate set and reused for the whole run.
     /// Unused when a session provides its own longer-lived pool.
@@ -122,10 +117,6 @@ pub(crate) struct Ctx<'a> {
     /// Cross-request session state, when this request is served by a
     /// [`SchedulerSession`](crate::session::SchedulerSession).
     pub(crate) session: Option<&'a crate::session::SessionShared>,
-    /// Structure signature of `topo` (see
-    /// [`topology_signature`](crate::session::topology_signature));
-    /// only computed — and only meaningful — when `session` is set.
-    pub(crate) topo_sig: u64,
     /// Cache-aware ceiling on scoring chunk length, resolved from the
     /// request's `chunk_bytes` budget.
     pub(crate) chunk_cap: usize,
@@ -227,9 +218,7 @@ impl<'a> Ctx<'a> {
             use_estimate: request.use_estimate,
             score_threads: resolve_score_threads(request.score_threads),
             memoize: request.memoize_bounds && request.use_estimate,
-            bound_cache: std::sync::Mutex::new(FxHashMap::default()),
             pool: std::sync::OnceLock::new(),
-            topo_sig: if session.is_some() { crate::session::topology_signature(topo) } else { 0 },
             session,
             chunk_cap: resolve_chunk_cap(request.chunk_bytes),
             table: std::sync::Mutex::new(table),
@@ -258,18 +247,6 @@ impl<'a> Ctx<'a> {
             None => &self.pool,
         };
         cell.get_or_init(|| crate::pool::ScoringPool::new(self.score_threads))
-    }
-
-    /// Cache key for `node`'s heuristic bound against a candidate host
-    /// whose overlay group signature is `host_sig`, on the placement
-    /// `path` currently encodes. Two candidate hosts with equal group
-    /// signatures share a key — and, because [`lower_bound_mbps`]
-    /// never consults host identity (only availabilities and minimum
-    /// separation costs), they share the exact bound.
-    ///
-    /// [`lower_bound_mbps`]: crate::heuristic::lower_bound_mbps
-    pub(crate) fn bound_key(node: NodeId, path_signature: u64, host_sig: u64) -> (u32, u64) {
-        (node.index() as u32, mix64(path_signature ^ mix64(host_sig)))
     }
 
     /// Normalized objective of a (possibly partial) usage.
@@ -616,7 +593,7 @@ pub(crate) fn pair_hash(node: NodeId, host: HostId) -> u64 {
 }
 
 /// splitmix64 finalizer: the repo's standard bit mixer.
-pub(crate) fn mix64(x: u64) -> u64 {
+fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -634,9 +611,9 @@ pub(crate) fn resolve_score_threads(requested: usize) -> usize {
 }
 
 /// Approximate bytes one candidate's scoring touches: the
-/// `ScoredCandidate` written, the host's availability row, NIC/link
-/// headroom, and the hash-map probes the bound lookup makes. Used only
-/// to size chunks, so it needs to be the right magnitude, not exact.
+/// `ScoredCandidate` written, the host's availability row and NIC/link
+/// headroom. Used only to size chunks, so it needs to be the right
+/// magnitude, not exact.
 const BYTES_PER_CANDIDATE: usize = 192;
 
 /// Fallback per-chunk cache budget when the core topology cannot be

@@ -10,8 +10,8 @@
 //! 1. **Snapshot-plan** — the planner grabs the current
 //!    [`PlanSnapshot`] (an immutable copy of the committed books plus
 //!    the session's mirror of them — capacity-table columns, pod
-//!    digests, per-host refresh epochs; the value-keyed bound cache and
-//!    the fleet layout are *shared*, not copied) and solves against it
+//!    digests, per-host refresh epochs; the fleet layout is *shared*,
+//!    not copied) and solves against it
 //!    with no lock held. Any number of planners plan concurrently
 //!    against the same snapshot.
 //! 2. **Validate-commit** — under the single commit lock the session
@@ -243,8 +243,7 @@ pub struct PlanSnapshot {
     /// The committed books at capture.
     state: CapacityState,
     /// The session's mirror of `state` (table columns, pod digests,
-    /// per-host refresh epochs at capture), plus the *shared*
-    /// value-keyed bound cache.
+    /// per-host refresh epochs at capture).
     shared: SessionShared,
 }
 
@@ -959,12 +958,7 @@ impl<'a> PlacementService<'a> {
         origin: &Arc<PlanSnapshot>,
     ) -> Result<PlannedPlacement, PlacementError> {
         let req = Self::planning_request(request);
-        let evictions_before = {
-            let mut cache = lock_unpoisoned(&shared.cache);
-            cache.begin_request();
-            cache.evictions()
-        };
-        let result = self.contained(topology, || {
+        let outcome = self.contained(topology, || {
             Scheduler::new(self.infra).place_pinned_with(
                 topology,
                 state,
@@ -972,10 +966,7 @@ impl<'a> PlacementService<'a> {
                 &vec![None; topology.node_count()],
                 Some(shared),
             )
-        });
-        let evictions_after = lock_unpoisoned(&shared.cache).evictions();
-        let mut outcome = result?;
-        outcome.stats.session_cache_evictions = evictions_after.saturating_sub(evictions_before);
+        })?;
         if outcome.stats.pods_scanned != 0 || outcome.stats.shard_fallbacks != 0 {
             let (scanned, pruned, fallbacks) = (
                 outcome.stats.pods_scanned,

@@ -1,15 +1,17 @@
 //! The long-lived placement session: a [`SchedulerSession`] owns one
 //! evolving [`CapacityState`] plus every piece of cross-request state a
-//! streaming scheduler can reuse — the bound-memo cache, the per-host
-//! mirror of the books, and the scoring worker pool — so a request
-//! arriving after a thousand others starts warm instead of rebuilding
-//! all of it from zero.
+//! streaming scheduler can reuse — the per-host mirror of the books,
+//! the pod digests folded from it, and the scoring worker pool — so a
+//! request arriving after a thousand others starts warm instead of
+//! rebuilding all of it from zero. (Heuristic bounds are *not* kept
+//! across requests: a scoring round resolves them against its own
+//! short-lived region list, see [`crate::heuristic`].)
 //!
 //! # One mirror, one epoch
 //!
 //! The books have exactly one derived per-host mirror: the base
 //! columns of the session's [`CapacityTable`] (free resources, NIC
-//! headroom, activity, availability-group signature), with the
+//! headroom, activity), with the
 //! per-pod [`PodDigests`](crate::shard::PodDigests) folded from the
 //! same values. Everything fixed by the infrastructure — rack/pod/site
 //! coordinates, pod host ranges — sits in one shared
@@ -27,35 +29,15 @@
 //! `SessionShared::resync` — the only code that re-resolves a host
 //! from the books: the host's table row is rewritten, its pod digest
 //! retires the old row and admits the new one, and its *refresh epoch*
-//! advances. Untouched hosts keep their
-//! rows and signatures byte-for-byte, so cache entries keyed on them
-//! stay hot. A host has changed since an observer last looked iff it
+//! advances. Untouched hosts keep their rows byte-for-byte. A host has
+//! changed since an observer last looked iff it
 //! is still in the journal or its refresh epoch moved
 //! (`SchedulerSession::changed_since`) — the one staleness test the
 //! concurrent service needs.
-//!
-//! # Why value keys make warm hits *exact*
-//!
-//! The session cache is keyed purely by **values**, never identities:
-//! the topology's structure signature, the partial placement expressed
-//! as a node→slot partition with each slot's exact remaining
-//! availability, and the candidate's availability-group signature
-//! (§III-A2's bound depends on a candidate only through its
-//! availability). [`lower_bound_mbps`] consults exactly those inputs —
-//! it never reads a host id into the bound — so two resolutions with
-//! equal keys are the *same computation* and a warm hit returns the
-//! bit-exact value a cold evaluation would produce. This is what lets
-//! the cache survive across requests, tenants, and even
-//! differently-named topologies of the same shape, while the dirty
-//! journal keeps the signatures the keys are built from truthful.
-//!
-//! [`lower_bound_mbps`]: crate::heuristic::lower_bound_mbps
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use ostro_datacenter::{
-    CapacityError, CapacityState, CapacityTable, FxHashMap, HostId, Infrastructure,
-};
+use ostro_datacenter::{CapacityError, CapacityState, CapacityTable, HostId, Infrastructure};
 use ostro_model::{ApplicationTopology, NodeId, Resources};
 
 use crate::deploy::{DeployError, DeployPolicy, DeploymentReport, EvacuationOutcome, FaultProbe};
@@ -63,97 +45,20 @@ use crate::effects::{self, Effect};
 use crate::error::PlacementError;
 use crate::online::{replace_rounds, OnlineOutcome};
 use crate::placement::{Placement, PlacementOutcome};
-use crate::pool::{lock_unpoisoned, ScoringPool};
+use crate::pool::ScoringPool;
 use crate::reconcile::{Divergence, DivergenceKind, HostTruth, ReconcileReport, ReconcileTotals};
 use crate::request::PlacementRequest;
 use crate::scheduler::Scheduler;
-use crate::search::mix64;
 use crate::wal::{Recovery, Wal, WalError, WalMark, WalOp};
-
-/// Entries kept per generation of the session cache; at ~24 bytes per
-/// entry the two live generations stay comfortably inside a few
-/// megabytes while covering far more keys than one request produces.
-const SESSION_CACHE_CAP: usize = 1 << 18;
-
-/// One memoized heuristic bound, tagged with the request generation
-/// that wrote it so hits can be classified warm (cross-request) vs
-/// in-request.
-#[derive(Debug, Clone, Copy)]
-struct SessionEntry {
-    bound: u64,
-    gen: u32,
-}
-
-/// The cross-request bound cache: two generations with second-chance
-/// promotion. Inserts land in the current generation; when it fills,
-/// the previous generation is discarded (those are the evictions) and
-/// the current one takes its place. A hit in the previous generation
-/// promotes the entry, so anything the workload still touches survives
-/// rotation indefinitely — a deterministic approximation of LRU with
-/// no per-entry bookkeeping.
-#[derive(Debug, Default)]
-pub(crate) struct SessionCache {
-    cur: FxHashMap<(u32, u64), SessionEntry>,
-    prev: FxHashMap<(u32, u64), SessionEntry>,
-    /// Monotonic request counter; entries written by generations below
-    /// the current one are warm.
-    gen: u32,
-    /// Cumulative entries discarded by rotation.
-    evictions: u64,
-}
-
-impl SessionCache {
-    /// Marks the start of a new request; everything cached so far
-    /// becomes "warm" for hit accounting.
-    pub(crate) fn begin_request(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-    }
-
-    /// Total entries discarded by rotation so far.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Looks `key` up in both generations, promoting a previous-
-    /// generation hit. Returns the bound and `true` if the entry was
-    /// written by an earlier request (a warm, cross-request hit).
-    pub(crate) fn get(&mut self, key: (u32, u64)) -> Option<(u64, bool)> {
-        if let Some(e) = self.cur.get(&key) {
-            return Some((e.bound, e.gen != self.gen));
-        }
-        if let Some(e) = self.prev.remove(&key) {
-            self.cur.insert(key, e);
-            return Some((e.bound, e.gen != self.gen));
-        }
-        None
-    }
-
-    /// Inserts a freshly computed bound, rotating generations when the
-    /// current one is full.
-    pub(crate) fn insert(&mut self, key: (u32, u64), bound: u64) {
-        if self.cur.len() >= SESSION_CACHE_CAP {
-            self.evictions += self.prev.len() as u64;
-            self.prev = std::mem::take(&mut self.cur);
-        }
-        self.cur.insert(key, SessionEntry { bound, gen: self.gen });
-    }
-}
 
 /// The shared, read-mostly half of a session, handed to the search
 /// context of every request the session serves.
 #[derive(Debug)]
 pub(crate) struct SessionShared {
     /// Per-host refresh epochs: how many times each host was
-    /// re-resolved by [`resync`](Self::resync). Cache keys are
-    /// value-based and never read these; the service's staleness test
-    /// does (see [`SchedulerSession::changed_since`]).
+    /// re-resolved by [`resync`](Self::resync) — what the service's
+    /// staleness test reads (see [`SchedulerSession::changed_since`]).
     pub(crate) epochs: Vec<u64>,
-    /// The cross-request bound cache. Behind an [`Arc`] so epoch
-    /// snapshots ([`clone_for_snapshot`](Self::clone_for_snapshot))
-    /// share the *same* cache with the live session: the keys are pure
-    /// values (see the module docs), so an entry written while planning
-    /// against one snapshot is bit-exact for every other state too.
-    pub(crate) cache: Arc<Mutex<SessionCache>>,
     /// The persistent scoring pool, created lazily on the first request
     /// large enough to engage it and reused (workers, scratch buffers
     /// and all) for the rest of the session's life.
@@ -174,7 +79,6 @@ impl SessionShared {
         let table = CapacityTable::new(infra, state);
         SessionShared {
             epochs: vec![0; infra.host_count()],
-            cache: Arc::new(Mutex::new(SessionCache::default())),
             pool: OnceLock::new(),
             pods: crate::shard::PodDigests::from_state(Arc::clone(table.layout()), state),
             table,
@@ -207,14 +111,12 @@ impl SessionShared {
 
     /// A frozen copy for an epoch snapshot: epochs, table columns and
     /// pod digests are cloned (they describe one specific state; the
-    /// construction-time layout behind them is shared, not copied), the
-    /// bound cache is *shared* (its keys are state-independent values),
-    /// and the scoring pool starts empty — each concurrent planner must
+    /// construction-time layout behind them is shared, not copied) and
+    /// the scoring pool starts empty — each concurrent planner must
     /// bring its own workers, a pool serves one search at a time.
     pub(crate) fn clone_for_snapshot(&self) -> SessionShared {
         SessionShared {
             epochs: self.epochs.clone(),
-            cache: Arc::clone(&self.cache),
             pool: OnceLock::new(),
             table: self.table.clone(),
             pods: self.pods.clone(),
@@ -234,43 +136,14 @@ impl SessionShared {
         assert_eq!(table.memory_mb(), scratch.memory_mb(), "{what}: memory column");
         assert_eq!(table.disk_gb(), scratch.disk_gb(), "{what}: disk column");
         assert_eq!(table.nic_mbps(), scratch.nic_mbps(), "{what}: nic column");
-        assert_eq!(table.epochs(), scratch.epochs(), "{what}: overlay-epoch column");
-        assert_eq!(table.group_sigs(), scratch.group_sigs(), "{what}: signature column");
         assert_eq!(table.active(), scratch.active(), "{what}: active column");
         assert_eq!(self.pods, fresh.pods, "{what}: pod digests");
     }
 }
 
-/// Structure-only signature of a topology: node requirements, links,
-/// and diversity zones, in deterministic order — everything the
-/// heuristic bound can observe, and nothing it cannot (names are
-/// deliberately excluded so recurring tenant shapes share cache
-/// entries no matter what they are called).
-pub(crate) fn topology_signature(topology: &ApplicationTopology) -> u64 {
-    let mut h = mix64(topology.node_count() as u64);
-    for node in topology.nodes() {
-        let req = node.requirements();
-        h = mix64(h ^ u64::from(req.vcpus));
-        h = mix64(h ^ req.memory_mb);
-        h = mix64(h ^ req.disk_gb);
-    }
-    for link in topology.links() {
-        let (a, b) = link.endpoints();
-        h = mix64(h ^ (((a.index() as u64) << 32) | b.index() as u64));
-        h = mix64(h ^ link.bandwidth().as_mbps());
-    }
-    for zone in topology.zones() {
-        h = mix64(h ^ (zone.level() as u64 + 1));
-        for &member in zone.members() {
-            h = mix64(h ^ (member.index() as u64 + 1));
-        }
-    }
-    h
-}
-
 /// A long-lived scheduling session: one [`Scheduler`] bound to one
-/// owned, evolving [`CapacityState`], carrying warm cross-request
-/// caches between placements.
+/// owned, evolving [`CapacityState`], carrying the warm mirror of the
+/// books, its pod digests and the scoring pool between placements.
 ///
 /// All mutations of the capacity state must go through the session
 /// (which is why it owns the state outright): each one journals the
@@ -278,9 +151,9 @@ pub(crate) fn topology_signature(topology: &ApplicationTopology) -> u64 {
 /// — nothing else — before solving warm.
 ///
 /// Placements are **bit-identical** to a cold per-request
-/// [`Scheduler::place`] against an equal state: the warm caches are
-/// value-keyed (see the module docs), so reuse changes the work done,
-/// never the answer.
+/// [`Scheduler::place`] against an equal state: the mirror holds
+/// exactly what a cold request would derive from the books, so reuse
+/// changes the work done, never the answer.
 ///
 /// ```
 /// use ostro_core::{PlacementRequest, SchedulerSession};
@@ -465,7 +338,7 @@ impl<'a> SchedulerSession<'a> {
         self.scheduler
     }
 
-    /// The shared half of the session (mirror, epochs, bound cache) —
+    /// The shared half of the session (mirror, epochs, pod digests) —
     /// what an epoch snapshot clones.
     pub(crate) fn shared(&self) -> &SessionShared {
         &self.shared
@@ -599,8 +472,7 @@ impl<'a> SchedulerSession<'a> {
 
     /// Drains the dirty-host journal into the shared mirror: exactly
     /// the journaled hosts are re-resolved from the live state;
-    /// everything else keeps its row (and therefore its cache keys)
-    /// untouched.
+    /// everything else keeps its row untouched.
     pub(crate) fn refresh(&mut self) -> u64 {
         let drained = self.dirty.len() as u64;
         for &host in &self.dirty {
@@ -639,22 +511,14 @@ impl<'a> SchedulerSession<'a> {
         pinned: &[Option<HostId>],
     ) -> Result<PlacementOutcome, PlacementError> {
         let dirty = self.refresh();
-        let evictions_before = {
-            let mut cache = lock_unpoisoned(&self.shared.cache);
-            cache.begin_request();
-            cache.evictions()
-        };
-        let result = self.scheduler.place_pinned_with(
+        let mut outcome = self.scheduler.place_pinned_with(
             topology,
             &self.state,
             request,
             pinned,
             Some(&self.shared),
-        );
-        let evictions_after = lock_unpoisoned(&self.shared.cache).evictions();
-        let mut outcome = result?;
+        )?;
         outcome.stats.session_dirty_hosts = dirty;
-        outcome.stats.session_cache_evictions = evictions_after - evictions_before;
         outcome.stats.reconcile_orphaned = self.recon.orphaned;
         outcome.stats.reconcile_leaked = self.recon.leaked;
         outcome.stats.reconcile_ghosts = self.recon.ghosts;
@@ -664,7 +528,7 @@ impl<'a> SchedulerSession<'a> {
 
     /// Online re-placement with warm rounds: the same pin-relaxation
     /// loop as [`Scheduler::replace_online`], with every round's solve
-    /// served by the session caches.
+    /// served from the session's mirror.
     ///
     /// # Errors
     ///
@@ -792,8 +656,8 @@ impl<'a> SchedulerSession<'a> {
         // Fast path: the tenant has no replica on the failed host, so
         // there is nothing to release and nothing to re-place —
         // freezing the host is the only book change. The tenant's own
-        // hosts are neither journaled dirty nor cache-invalidated, so
-        // their epochs (and every warm bound keyed off them) survive.
+        // hosts are not journaled dirty, so their refresh epochs (and
+        // mirror rows) survive.
         if assignment.iter().all(Option::is_some) && !assignment.contains(&Some(failed)) {
             self.quarantine_host(failed);
             let placement = Placement::new(assignment.iter().copied().flatten().collect());
@@ -983,7 +847,7 @@ mod tests {
 
     use super::*;
     use crate::request::Algorithm;
-    use ostro_datacenter::{base_group_signature, InfrastructureBuilder};
+    use ostro_datacenter::InfrastructureBuilder;
     use ostro_model::{Bandwidth, DiversityLevel, TopologyBuilder};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1080,16 +944,10 @@ mod tests {
             session.commit(&app_b, &warm_b.placement).unwrap();
             scheduler.commit(&app_b, &cold_b.placement, &mut cold).unwrap();
 
-            // Arrive C — structurally identical to A, so the session
-            // serves part of its bounds from A's entries, warm.
+            // Arrive C — structurally identical to A, differently named.
             let warm_c = session.place(&app_c, &request).unwrap();
             let cold_c = scheduler.place(&app_c, &cold, &request).unwrap();
             assert_outcomes_identical(&warm_c, &cold_c, &format!("{tag} place c"));
-            assert!(
-                warm_c.stats.session_cache_hits > 0,
-                "{tag}: repeated shape must hit the session cache"
-            );
-            assert_eq!(cold_c.stats.session_cache_hits, 0, "{tag}: cold has no session");
             session.commit(&app_c, &warm_c.placement).unwrap();
             scheduler.commit(&app_c, &cold_c.placement, &mut cold).unwrap();
 
@@ -1134,44 +992,6 @@ mod tests {
         }
     }
 
-    /// Replaying an identical request against an identical state must
-    /// be served entirely from the session cache: the search trajectory
-    /// is bit-identical, so every bound key recurs.
-    #[test]
-    fn identical_replay_is_fully_warm() {
-        let infra = infra_flat(4, 8);
-        let app = hub_app("app");
-        for algorithm in [Algorithm::Greedy, Algorithm::BoundedAStar] {
-            let request = PlacementRequest {
-                algorithm,
-                max_expansions: 2_000,
-                ..PlacementRequest::default()
-            };
-            let mut session = SchedulerSession::new(&infra);
-            let first = session.place(&app, &request).unwrap();
-            assert!(first.stats.session_cache_misses > 0, "first request computes fresh");
-            // Round-trip the state: commit then release restores every
-            // availability value, so all keys match again.
-            session.commit(&app, &first.placement).unwrap();
-            session.release(&app, &first.placement).unwrap();
-            let replay = session.place(&app, &request).unwrap();
-            assert_eq!(replay.placement, first.placement);
-            assert_eq!(replay.objective.to_bits(), first.objective.to_bits());
-            assert_eq!(
-                replay.stats.session_cache_misses,
-                0,
-                "{}: replay recomputed bounds it should have cached",
-                request.algorithm.abbreviation()
-            );
-            assert!(replay.stats.session_cache_hits > 0);
-            assert_eq!(
-                replay.stats.session_dirty_hosts as usize,
-                first.placement.distinct_hosts(),
-                "commit+release journaled exactly the placement's hosts"
-            );
-        }
-    }
-
     /// A snapshot copies only what a commit can change: the
     /// construction-time fleet layout behind the table and the pod
     /// digests is the session's own allocation, shared.
@@ -1196,59 +1016,12 @@ mod tests {
         assert_eq!(err, PlacementError::PriorLengthMismatch { expected: 4, actual: 1 });
     }
 
-    #[test]
-    fn topology_signature_ignores_names_but_not_structure() {
-        let a = hub_app("alpha");
-        let b = hub_app("totally-different-name");
-        assert_eq!(topology_signature(&a), topology_signature(&b));
-        let c = chain_app("alpha");
-        assert_ne!(topology_signature(&a), topology_signature(&c));
-        // Same nodes, different bandwidth: structure changed.
-        let mut t1 = TopologyBuilder::new("x");
-        let u = t1.vm("u", 1, 1_024).unwrap();
-        let v = t1.vm("v", 1, 1_024).unwrap();
-        t1.link(u, v, Bandwidth::from_mbps(100)).unwrap();
-        let mut t2 = TopologyBuilder::new("x");
-        let u2 = t2.vm("u", 1, 1_024).unwrap();
-        let v2 = t2.vm("v", 1, 1_024).unwrap();
-        t2.link(u2, v2, Bandwidth::from_mbps(200)).unwrap();
-        assert_ne!(
-            topology_signature(&t1.build().unwrap()),
-            topology_signature(&t2.build().unwrap())
-        );
-    }
-
-    #[test]
-    fn session_cache_rotates_generations_and_counts_evictions() {
-        let mut cache = SessionCache::default();
-        cache.begin_request();
-        cache.insert((1, 10), 100);
-        cache.insert((2, 20), 200);
-        assert_eq!(cache.get((1, 10)), Some((100, false)), "same-generation hit is not warm");
-        cache.begin_request();
-        assert_eq!(cache.get((1, 10)), Some((100, true)), "earlier-generation hit is warm");
-        // Fill past the cap: the current generation rotates to prev,
-        // and the old prev (empty here) is discarded without loss.
-        for i in 0..(SESSION_CACHE_CAP as u64) {
-            cache.insert((3, i), i);
-        }
-        assert_eq!(cache.evictions(), 0, "first rotation discards an empty prev");
-        // `(1, 10)` rotated into prev; a hit promotes it back.
-        assert_eq!(cache.get((1, 10)), Some((100, true)));
-        // Overflow again: now a non-empty prev is discarded.
-        for i in 0..=(SESSION_CACHE_CAP as u64) {
-            cache.insert((4, i), i);
-        }
-        assert!(cache.evictions() > 0);
-        assert_eq!(cache.get((1, 10)), Some((100, true)), "promoted entry survived");
-    }
-
     /// The satellite property test: a random commit/release/evacuate/
     /// reserve stream must (1) journal exactly the touched hosts,
     /// (2) bump epochs exactly once per refresh of a touched host,
     /// (3) keep every non-journaled mirror row byte-identical to a full
     /// rescan, and (4) stay bit-identical to a cold shadow scheduler —
-    /// the stale-entry detector: any under-invalidation shows up as a
+    /// the stale-row detector: any under-invalidation shows up as a
     /// diverging placement or a stale row.
     #[test]
     fn journal_invalidates_exactly_the_touched_hosts() {
@@ -1284,7 +1057,7 @@ mod tests {
             for event in 0u64..12 {
                 let what = format!("trial {trial} event {event}");
                 match rng.gen_range(0u32..10) {
-                    // Arrive (also the warm-replay probe).
+                    // Arrive (also the replay probe).
                     0..=4 => {
                         let mut b = TopologyBuilder::new(format!("t{trial}e{event}"));
                         let n = rng.gen_range(2usize..5);
@@ -1323,18 +1096,14 @@ mod tests {
                                     pending.insert(h.index());
                                 }
                                 if rng.gen_bool(0.3) {
-                                    // Warm-replay probe: two identical
-                                    // placements back to back — the
-                                    // second must be fully cache-served.
+                                    // Replay probe: two identical
+                                    // placements back to back must
+                                    // decide identically.
                                     apply_refresh(&mut pending, &mut expected_epochs);
                                     let r1 = session.place(&topo, &request);
                                     let r2 = session.place(&topo, &request);
                                     if let (Ok(r1), Ok(r2)) = (r1, r2) {
                                         assert_eq!(r1.placement, r2.placement, "{what}: replay");
-                                        assert_eq!(
-                                            r2.stats.session_cache_misses, 0,
-                                            "{what}: identical replay missed the cache"
-                                        );
                                     }
                                 }
                                 live.push((topo, w.placement));
@@ -1439,11 +1208,6 @@ mod tests {
                         table.nic_available(id),
                         session.state.nic_available(id),
                         "{what}: stale nic row, host {h}"
-                    );
-                    assert_eq!(
-                        table.group_sig(id),
-                        base_group_signature(free),
-                        "{what}: stale availability signature, host {h}"
                     );
                 }
                 // (4) The session state never drifts from the shadow.
@@ -1725,8 +1489,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Drains the journal, then checks the whole mirror (table columns
-    /// incl. `group_sig`, pod digests) against a from-scratch
+    /// Drains the journal, then checks the whole mirror (table columns,
+    /// pod digests) against a from-scratch
     /// [`SessionShared::new`] over the live state.
     fn assert_mirror_fresh(session: &mut SchedulerSession<'_>, what: &str) {
         session.refresh();
@@ -1972,7 +1736,7 @@ mod tests {
     /// Satellite regression: evacuating a host none of the tenant's
     /// replicas live on is a cheap no-op — only the failed host itself
     /// is journaled (for the quarantine); the tenant's hosts keep
-    /// their epochs, mirror rows, and warm cache entries.
+    /// their epochs and mirror rows.
     #[test]
     fn evacuate_of_untouched_host_keeps_epochs_and_skips_search() {
         let infra = infra_flat(4, 8);

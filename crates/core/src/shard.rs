@@ -255,14 +255,7 @@ fn fold_stats(into: &mut SearchStats, from: &SearchStats) {
     into.deduplicated += from.deduplicated;
     into.symmetry_skipped += from.symmetry_skipped;
     into.eg_runs += from.eg_runs;
-    into.heuristic_evals += from.heuristic_evals;
-    into.candidates_scanned += from.candidates_scanned;
-    into.candidates_pruned_simd += from.candidates_pruned_simd;
-    into.bound_cache_hits += from.bound_cache_hits;
-    into.bound_cache_misses += from.bound_cache_misses;
-    into.session_cache_hits += from.session_cache_hits;
-    into.session_cache_misses += from.session_cache_misses;
-    into.session_cache_evictions += from.session_cache_evictions;
+    into.fold_scoring_effort(from);
     into.deadline_hit |= from.deadline_hit;
 }
 

@@ -54,7 +54,7 @@ pub use builder::InfrastructureBuilder;
 pub use error::{BuildError, CapacityError};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{HostId, PodId, RackId, SiteId};
-pub use overlay::{base_group_signature, OverlayMark, OverlayState};
+pub use overlay::{OverlayMark, OverlayState};
 pub use path::{LinkRef, Separation};
 pub use spec::{HostSpec, InfraSpec, PodSpec, RackSpec, SiteSpec};
 pub use state::CapacityState;

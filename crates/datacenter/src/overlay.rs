@@ -90,35 +90,6 @@ fn next_generation() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// splitmix64 finalizer: a cheap bijective scrambler for signature
-/// construction (group signatures must not collide between "host 3
-/// touched twice" and "host 6 touched once" style neighbors).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Group signature of a host no overlay has touched (epoch 0): a pure
-/// function of its base availability, so every idle host with the same
-/// remaining capacity shares one signature. The one definition behind
-/// [`OverlayState::host_group_signature`], the
-/// [`CapacityTable`](crate::CapacityTable) signature column, and the
-/// session cache's candidate keys.
-#[must_use]
-pub fn base_group_signature(avail: Resources) -> u64 {
-    let a = mix64(u64::from(avail.vcpus));
-    let b = mix64(a ^ avail.memory_mb);
-    mix64(b ^ avail.disk_gb)
-}
-
-/// Group signature of an overlay-touched host (`epoch > 0`): its own
-/// group, keyed by `(host, epoch)`.
-pub(crate) fn touched_group_signature(host: HostId, epoch: u64) -> u64 {
-    mix64(mix64(u64::from(host.index() as u32) + 1) ^ epoch)
-}
-
 /// One journaled mutation, inverted on rollback. Crate-visible so
 /// [`CapacityTable`](crate::CapacityTable) can replay appended tails.
 #[derive(Debug, Clone, Copy)]
@@ -210,11 +181,6 @@ impl<'a> OverlayState<'a> {
     /// Per-link bandwidth usage entries of this hypothesis.
     pub(crate) fn used_link_entries(&self) -> impl Iterator<Item = (LinkRef, Bandwidth)> + '_ {
         self.used_link.iter().map(|(&l, &b)| (l, b))
-    }
-
-    /// Per-host added-node counts of this hypothesis.
-    pub(crate) fn added_node_entries(&self) -> impl Iterator<Item = (HostId, u32)> + '_ {
-        self.added_nodes.iter().map(|(&h, &c)| (h, c))
     }
 
     /// Marks the current journal position. Reservations made after the
@@ -310,43 +276,6 @@ impl<'a> OverlayState<'a> {
     #[must_use]
     pub fn added_node_count(&self, host: HostId) -> u32 {
         self.added_nodes.get(&host).copied().unwrap_or(0)
-    }
-
-    /// Mutation epoch of `host`'s availability under this hypothesis:
-    /// the number of *live* (not rolled back) node reservations
-    /// touching the host. Zero means this overlay never changed the
-    /// host, so its availability is exactly the base state's.
-    ///
-    /// The epoch is bumped only by [`reserve_node`](Self::reserve_node)
-    /// — flow reservations change link headroom, not host capacity —
-    /// and [`rollback`](Self::rollback) restores it through the op
-    /// journal, so an epoch observed before a checkpoint is valid again
-    /// after rolling back to it. Heuristic memoization keys off this:
-    /// under a fixed placement signature, an unchanged epoch implies
-    /// unchanged availability.
-    #[must_use]
-    pub fn host_epoch(&self, host: HostId) -> u64 {
-        u64::from(self.added_node_count(host))
-    }
-
-    /// Order-independent signature of the availability *group* `host`
-    /// belongs to, for memoizing per-host heuristic evaluations:
-    ///
-    /// * an untouched host (epoch 0) is grouped by its base
-    ///   availability — every idle host with the same remaining
-    ///   capacity shares one signature, so one evaluation covers all
-    ///   of them;
-    /// * a touched host is its own group, keyed by `(host, epoch)` —
-    ///   combined with a placement signature this pins its exact
-    ///   availability.
-    #[must_use]
-    pub fn host_group_signature(&self, host: HostId) -> u64 {
-        let epoch = self.host_epoch(host);
-        if epoch > 0 {
-            touched_group_signature(host, epoch)
-        } else {
-            base_group_signature(self.base.available(host))
-        }
     }
 
     /// Hosts that were idle in the base state but are used by this
@@ -637,52 +566,6 @@ mod tests {
         assert_eq!(base.node_count(h(0)), 2);
         assert_eq!(base.node_count(h(2)), 1);
         assert_eq!(base.total_reserved_bandwidth(&infra), Bandwidth::from_gbps(4));
-    }
-
-    #[test]
-    fn epochs_track_availability_mutations_and_rollback() {
-        let (infra, base) = setup();
-        let mut ov = OverlayState::new(&infra, &base);
-        assert_eq!(ov.host_epoch(h(0)), 0);
-        let mark = ov.checkpoint();
-        ov.reserve_node(h(0), Resources::new(1, 1_024, 0)).unwrap();
-        assert_eq!(ov.host_epoch(h(0)), 1);
-        let sig_one = ov.host_group_signature(h(0));
-        ov.reserve_node(h(0), Resources::new(1, 1_024, 0)).unwrap();
-        assert_eq!(ov.host_epoch(h(0)), 2);
-        assert_ne!(ov.host_group_signature(h(0)), sig_one);
-        // Flow reservations leave host availability — and epochs — alone.
-        ov.reserve_flow(h(0), h(2), Bandwidth::from_gbps(1)).unwrap();
-        assert_eq!(ov.host_epoch(h(0)), 2);
-        ov.rollback(mark);
-        assert_eq!(ov.host_epoch(h(0)), 0, "rollback restores the epoch via the journal");
-    }
-
-    #[test]
-    fn group_signatures_merge_untouched_hosts_and_split_touched_ones() {
-        let (infra, mut base) = setup();
-        base.reserve_node(h(3), Resources::new(2, 2_048, 0)).unwrap();
-        let ov2 = {
-            let mut ov = OverlayState::new(&infra, &base);
-            ov.reserve_node(h(0), Resources::new(1, 1_024, 0)).unwrap();
-            ov
-        };
-        // Untouched hosts with identical base availability share one group.
-        assert_eq!(ov2.host_group_signature(h(1)), ov2.host_group_signature(h(2)));
-        // A base-loaded host has different availability, hence a
-        // different group, even though its epoch is still zero.
-        assert_eq!(ov2.host_epoch(h(3)), 0);
-        assert_ne!(ov2.host_group_signature(h(3)), ov2.host_group_signature(h(1)));
-        // A touched host is its own group.
-        assert_ne!(ov2.host_group_signature(h(0)), ov2.host_group_signature(h(1)));
-        // Epoch-restoring rollback restores the signature too.
-        let mut ov = ov2.clone();
-        let mark = ov.checkpoint();
-        let before = ov.host_group_signature(h(1));
-        ov.reserve_node(h(1), Resources::new(1, 1, 0)).unwrap();
-        assert_ne!(ov.host_group_signature(h(1)), before);
-        ov.rollback(mark);
-        assert_eq!(ov.host_group_signature(h(1)), before);
     }
 
     #[test]

@@ -31,10 +31,6 @@
 //! the sparse rebuild land on bit-identical columns — a property test
 //! below churns randomly and checks exactly that.
 //!
-//! The group-signature column reproduces
-//! [`OverlayState::host_group_signature`] bit-for-bit so memo keys
-//! computed from the table match keys computed through the overlay.
-//!
 //! # What a clone copies
 //!
 //! Only the availability columns and the sync cursor can change after
@@ -49,7 +45,7 @@ use std::sync::Arc;
 use ostro_model::{Bandwidth, Resources};
 
 use crate::ids::HostId;
-use crate::overlay::{base_group_signature, touched_group_signature, OverlayOp, OverlayState};
+use crate::overlay::{OverlayOp, OverlayState};
 use crate::path::LinkRef;
 use crate::state::CapacityState;
 use crate::structure::Infrastructure;
@@ -152,10 +148,6 @@ pub struct CapacityTable {
     memory_mb: Vec<u64>,
     disk_gb: Vec<u64>,
     nic_mbps: Vec<u64>,
-    /// Live overlay node reservations per host (the overlay epoch).
-    epoch: Vec<u32>,
-    /// Mirror of [`OverlayState::host_group_signature`].
-    group_sig: Vec<u64>,
     /// `true` where the host runs nodes in base state or overlay.
     active: Vec<u8>,
     layout: Arc<FleetLayout>,
@@ -181,8 +173,6 @@ impl CapacityTable {
             memory_mb: vec![0; n],
             disk_gb: vec![0; n],
             nic_mbps: vec![0; n],
-            epoch: vec![0; n],
-            group_sig: vec![0; n],
             active: vec![0; n],
             layout: Arc::new(FleetLayout::new(infra)),
             touched: Vec::new(),
@@ -222,8 +212,6 @@ impl CapacityTable {
         self.memory_mb[i] = avail.memory_mb;
         self.disk_gb[i] = avail.disk_gb;
         self.nic_mbps[i] = base.nic_available(host).as_mbps();
-        self.epoch[i] = 0;
-        self.group_sig[i] = base_group_signature(avail);
         self.active[i] = u8::from(base.is_active(host));
     }
 
@@ -262,8 +250,6 @@ impl CapacityTable {
                 self.vcpus[i] = self.vcpus[i].saturating_sub(req.vcpus);
                 self.memory_mb[i] = self.memory_mb[i].saturating_sub(req.memory_mb);
                 self.disk_gb[i] = self.disk_gb[i].saturating_sub(req.disk_gb);
-                self.epoch[i] += 1;
-                self.group_sig[i] = touched_group_signature(host, u64::from(self.epoch[i]));
                 self.active[i] = 1;
                 self.mark_touched(i);
             }
@@ -286,17 +272,13 @@ impl CapacityTable {
             self.touched_flag[i] = false;
             self.load_base(base, i);
         }
+        // A usage entry exists exactly while the overlay has nodes on
+        // the host, so it also carries the activity bit.
         for (host, used) in overlay.used_host_entries() {
             let i = host.index();
             self.vcpus[i] = self.vcpus[i].saturating_sub(used.vcpus);
             self.memory_mb[i] = self.memory_mb[i].saturating_sub(used.memory_mb);
             self.disk_gb[i] = self.disk_gb[i].saturating_sub(used.disk_gb);
-            self.mark_touched(i);
-        }
-        for (host, count) in overlay.added_node_entries() {
-            let i = host.index();
-            self.epoch[i] = count;
-            self.group_sig[i] = touched_group_signature(host, u64::from(count));
             self.active[i] = 1;
             self.mark_touched(i);
         }
@@ -344,25 +326,6 @@ impl CapacityTable {
     #[must_use]
     pub fn nic_mbps(&self) -> &[u64] {
         &self.nic_mbps
-    }
-
-    /// Overlay epoch (live node reservations) per host.
-    #[must_use]
-    pub fn epochs(&self) -> &[u32] {
-        &self.epoch
-    }
-
-    /// Availability-group signatures, bit-identical to
-    /// [`OverlayState::host_group_signature`] as of the last `sync`.
-    #[must_use]
-    pub fn group_sigs(&self) -> &[u64] {
-        &self.group_sig
-    }
-
-    /// Group signature of one host.
-    #[must_use]
-    pub fn group_sig(&self, host: HostId) -> u64 {
-        self.group_sig[host.index()]
     }
 
     /// Host activity (1 where any node runs, base or overlay).
@@ -440,8 +403,6 @@ mod tests {
                 ov.link_available(LinkRef::HostNic(host)),
                 "host {i} nic"
             );
-            assert_eq!(u64::from(table.epochs()[i]), ov.host_epoch(host), "host {i} epoch");
-            assert_eq!(table.group_sig(host), ov.host_group_signature(host), "host {i} sig");
             assert_eq!(table.active()[i] != 0, ov.is_active(host), "host {i} active");
             let (rack, pod, site) = infra.location(host);
             assert_eq!(table.racks()[i], rack.index() as u32);
@@ -618,8 +579,6 @@ mod tests {
                 assert_eq!(table.memory_mb(), fresh.memory_mb(), "step {step}");
                 assert_eq!(table.disk_gb(), fresh.disk_gb(), "step {step}");
                 assert_eq!(table.nic_mbps(), fresh.nic_mbps(), "step {step}");
-                assert_eq!(table.epochs(), fresh.epochs(), "step {step}");
-                assert_eq!(table.group_sigs(), fresh.group_sigs(), "step {step}");
                 assert_eq!(table.active(), fresh.active(), "step {step}");
                 assert_matches_overlay(&table, &infra, &ov);
             }

@@ -330,9 +330,9 @@ pub fn run_churn(
 /// tenants still deployed — the hooks the leak-regression tests use.
 ///
 /// The whole stream is served by one [`SchedulerSession`], so every
-/// placement after the first starts warm: bounds cached by earlier
-/// arrivals are reused, and departures/crashes invalidate only the
-/// hosts they touched. The session is bit-identical to a cold
+/// placement after the first starts warm: the session's mirror of the
+/// books is reused, and departures/crashes re-resolve only the hosts
+/// they touched. The session is bit-identical to a cold
 /// per-request scheduler, so the reports (and the determinism tests)
 /// are unchanged by the reuse.
 fn churn_run(

@@ -21,14 +21,15 @@
 #   ostro_core::candidates::ProbeCtx::admit         dense per-host flow screen
 #   ostro_core::candidates::feasible_hosts_into     SoA candidate sweep
 #   ostro_core::candidates::capacity_mask*          branch-free column compare
-#   ostro_core::heuristic::lower_bound_mbps_with    §III-A2 bound (memo misses)
+#   ostro_core::heuristic::lower_bound_mbps_with    §III-A2 bound (one per region)
 #   ostro_datacenter::table::CapacityTable::sync    journal-tail replay
 #
 # Healthy profiles show `capacity_mask*` as a small flat cost (it
 # touches four contiguous columns once per round) and `admit` with no
 # hash-probe callees (`FxHashMap::get` under it means the dense screen
 # regressed to per-link map lookups). `lower_bound_mbps_with`
-# dominating usually means the bound memo cache is cold or disabled —
+# dominating usually means the region memo is disabled or its regions
+# stopped matching (`bound_cache_misses` close to `heuristic_evals`) —
 # check `scoring_parallel_uncached_us` vs `scoring_parallel_us` in
 # BENCH_kernel.json before hunting micro-optimizations. A fat
 # `CapacityTable::rebuild` indicates overlay rollbacks outrunning the
